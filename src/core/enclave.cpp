@@ -18,12 +18,19 @@ namespace eden::core {
 // pointer swap; ActionEntry objects are *shared* between snapshots, so
 // an action's global/message state, counters and locks survive rule
 // churn, and snapshots only pay for the vector copies. A removed action
-// stays alive until the last reader drops the snapshot referencing it.
+// stays alive until the snapshots referencing it are reclaimed, i.e.
+// until no data-path guard can still hold one of them.
 struct Enclave::RuleState {
   std::uint64_t version = 0;
   std::vector<Table> tables;
   std::vector<FlowClassifierRule> flow_rules;
   std::vector<std::shared_ptr<ActionEntry>> actions;
+};
+
+// A replaced snapshot, stamped with EpochDomain::stamp_retire().
+struct Enclave::RetiredRules {
+  std::unique_ptr<const RuleState> rules;
+  std::uint64_t epoch;
 };
 
 // One staged transaction: mutations land in `state` (a shadow copy of
@@ -33,7 +40,7 @@ struct Enclave::RuleState {
 // so they are buffered here and applied at commit.
 struct Enclave::Txn {
   std::uint64_t id = 0;
-  std::shared_ptr<RuleState> state;
+  std::unique_ptr<RuleState> state;
   // Actions with index >= base_actions were installed inside this
   // transaction: they are invisible to the data path until commit, so
   // their global state may be written in place.
@@ -54,9 +61,7 @@ namespace detail {
 // Per-thread execution resources for one enclave instance: the
 // interpreter (operand stack, heap, rng) plus a scratch packet-scope
 // state block. Reused across packets so the steady-state data path does
-// not allocate. Also caches the last rule-set snapshot this thread saw,
-// keyed by its version, so the per-packet snapshot check is one atomic
-// load and a compare.
+// not allocate.
 struct ThreadState {
   lang::Interpreter interp;
   lang::StateBlock packet_block;
@@ -72,30 +77,36 @@ struct ThreadState {
   // expiry + epoch reclaim) to one sweep per ~kExpiryPacePackets
   // packets per thread.
   std::uint32_t expiry_countdown = 1;
-  std::shared_ptr<const Enclave::RuleState> cached_rules;
-  std::uint64_t cached_epoch = ~0ull;
 
-  // process_batch scratch, reused so a steady-state batch allocates
-  // nothing: matched packets tagged with their (action, message) group
-  // plus their arrival index (the sort tiebreak that keeps per-message
-  // order), one contiguous per-group packet list, and the matched
-  // per-class counter slots for post-run drop attribution.
+  // Data-path scratch, reused so a steady-state call allocates nothing:
+  // the packets no table has dropped yet (in arrival order), one table
+  // pass's matches tagged with their (action, message) group, arrival
+  // index (the sort tiebreak that keeps per-message order) and class
+  // counter slot, and one contiguous per-group packet list.
   struct BatchItem {
     Enclave::ActionEntry* entry;
     std::int64_t key;
     std::uint32_t order;
     netsim::Packet* pkt;
+    Enclave::ClassCounters* cls;  // null with per-class telemetry off
   };
+  std::vector<netsim::Packet*> live;
   std::vector<BatchItem> batch_items;
   std::vector<netsim::Packet*> batch_group;
-  std::vector<std::pair<netsim::Packet*, Enclave::ClassCounters*>>
-      batch_classes;
 
-  ThreadState(const EnclaveConfig& config, const lang::StateSchema& schema)
-      : interp(config.exec_limits, config.rng_seed),
+  // Ordinal 0 (the first thread to use the enclave) draws from rng_seed
+  // itself, so single-threaded runs stay reproducible; later threads mix
+  // their ordinal in and draw independent streams.
+  static std::uint64_t seed_for(std::uint64_t seed, std::uint64_t ordinal) {
+    return ordinal == 0 ? seed : util::mix64(seed ^ util::mix64(ordinal));
+  }
+
+  ThreadState(const EnclaveConfig& config, const lang::StateSchema& schema,
+              std::uint64_t ordinal)
+      : interp(config.exec_limits, seed_for(config.rng_seed, ordinal)),
         packet_block(
             lang::StateBlock::from_schema(schema, lang::Scope::packet)),
-        rng(config.rng_seed ^ 0x517cc1b727220a95ULL) {}
+        rng(seed_for(config.rng_seed, ordinal) ^ 0x517cc1b727220a95ULL) {}
 };
 
 }  // namespace detail
@@ -231,7 +242,8 @@ struct EnclaveThreadRegistry {
 
   static ThreadState& get(std::uint64_t instance_id,
                           const EnclaveConfig& config,
-                          const lang::StateSchema& schema) {
+                          const lang::StateSchema& schema,
+                          std::atomic<std::uint64_t>& next_ordinal) {
     Map& map = tls_map();
     static thread_local std::uint64_t seen_generation = 0;
     const std::uint64_t gen =
@@ -244,7 +256,11 @@ struct EnclaveThreadRegistry {
       });
     }
     auto& slot = map[instance_id];
-    if (!slot) slot = std::make_unique<ThreadState>(config, schema);
+    if (!slot) {
+      slot = std::make_unique<ThreadState>(
+          config, schema,
+          next_ordinal.fetch_add(1, std::memory_order_relaxed));
+    }
     return *slot;
   }
 };
@@ -260,7 +276,7 @@ Enclave::Enclave(std::string name, ClassRegistry& registry,
       config_(config),
       base_schema_(make_enclave_schema()),
       instance_id_(g_enclave_instance_counter.fetch_add(1)),
-      rules_(std::make_shared<RuleState>()) {
+      rules_(new RuleState()) {
   if (config_.telemetry.enabled) {
     if (config_.telemetry.max_classes > 0) {
       // +2: an "unclassified" slot and an overflow slot past max_classes.
@@ -286,60 +302,55 @@ Enclave::Enclave(std::string name, ClassRegistry& registry,
 
 Enclave::~Enclave() {
   EnclaveThreadRegistry::note_destroyed(instance_id_);
+  delete rules_.load(std::memory_order_relaxed);
 }
 
 // --- Snapshot plumbing ----------------------------------------------------
 
 ThreadState& Enclave::thread_state() const {
-  return EnclaveThreadRegistry::get(instance_id_, config_, base_schema_);
+  return EnclaveThreadRegistry::get(instance_id_, config_, base_schema_,
+                                    next_thread_ordinal_);
 }
 
-const Enclave::RuleState& Enclave::data_snapshot(ThreadState& ts) const {
-  const std::uint64_t epoch = rules_epoch_.load(std::memory_order_acquire);
-  if (ts.cached_epoch != epoch) [[unlikely]] {
-    std::lock_guard lock(publish_mutex_);
-    ts.cached_rules = rules_;
-    // The snapshot read under the lock may already be newer than the
-    // epoch that triggered the refresh; key the cache off what was
-    // actually read.
-    ts.cached_epoch = ts.cached_rules->version;
-  }
-  return *ts.cached_rules;
-}
-
-std::shared_ptr<const Enclave::RuleState> Enclave::committed() const {
-  std::lock_guard lock(publish_mutex_);
-  return rules_;
+const Enclave::RuleState& Enclave::committed(
+    const state::EpochDomain::Guard&) const {
+  return *rules_.load(std::memory_order_acquire);
 }
 
 const Enclave::RuleState& Enclave::control_view_locked() const {
   if (txn_ != nullptr) return *txn_->state;
   // control_mutex_ is held, so no publish can race this read.
-  return *rules_;
+  return *rules_.load(std::memory_order_relaxed);
 }
 
 // Returns the state a mutation should edit: the transaction's shadow
 // copy when one is open (changes stay staged), or a fresh copy of the
-// committed snapshot otherwise.
-std::shared_ptr<Enclave::RuleState> Enclave::begin_mutation_locked() {
-  if (txn_ != nullptr) return txn_->state;
-  return std::make_shared<RuleState>(*committed());
+// committed snapshot otherwise, which end_mutation_locked publishes.
+Enclave::RuleState& Enclave::begin_mutation_locked() {
+  if (txn_ != nullptr) return *txn_->state;
+  draft_ = std::make_unique<RuleState>(control_view_locked());
+  return *draft_;
 }
 
-void Enclave::end_mutation_locked(std::shared_ptr<RuleState> next) {
+void Enclave::end_mutation_locked() {
   if (txn_ != nullptr) return;  // staged; published by commit_txn
-  publish_locked(std::move(next));
+  publish_locked(std::move(draft_));
 }
 
-std::uint64_t Enclave::publish_locked(std::shared_ptr<RuleState> next) {
-  next->version = next_version_++;
-  std::shared_ptr<const RuleState> published = std::move(next);
-  const std::uint64_t version = published->version;
-  {
-    std::lock_guard lock(publish_mutex_);
-    rules_ = std::move(published);
-  }
-  rules_epoch_.store(version, std::memory_order_release);
+// Swaps the snapshot in, then retires the old one the way FlowStore
+// retires its tables: stamped with the domain's epoch after the swap,
+// so a guard pinned at or below the stamp may still hold it, and freed
+// once reclaim_horizon() passes the stamp.
+std::uint64_t Enclave::publish_locked(std::unique_ptr<RuleState> next) {
+  const std::uint64_t version = next->version = next_version_++;
+  const RuleState* old =
+      rules_.exchange(next.release(), std::memory_order_acq_rel);
+  retired_.push_back({std::unique_ptr<const RuleState>(old),
+                      epochs_.stamp_retire()});
+  const std::uint64_t horizon = epochs_.reclaim_horizon();
+  std::erase_if(retired_, [horizon](const RetiredRules& r) {
+    return r.epoch < horizon;
+  });
   return version;
 }
 
@@ -348,10 +359,11 @@ std::uint64_t Enclave::publish_locked(std::shared_ptr<RuleState> next) {
 std::uint64_t Enclave::begin_txn() {
   std::lock_guard lock(control_mutex_);
   if (txn_ != nullptr) throw std::invalid_argument("transaction already open");
-  txn_ = std::make_unique<Txn>();
-  txn_->id = next_txn_id_++;
-  txn_->state = std::make_shared<RuleState>(*committed());
-  txn_->base_actions = txn_->state->actions.size();
+  auto txn = std::make_unique<Txn>();
+  txn->id = next_txn_id_++;
+  txn->state = std::make_unique<RuleState>(control_view_locked());
+  txn->base_actions = txn->state->actions.size();
+  txn_ = std::move(txn);
   return txn_->id;
 }
 
@@ -381,7 +393,7 @@ std::uint64_t Enclave::commit_txn() {
       }
     }
   }
-  std::shared_ptr<RuleState> next = std::move(txn_->state);
+  std::unique_ptr<RuleState> next = std::move(txn_->state);
   txn_.reset();
   return publish_locked(std::move(next));
 }
@@ -397,22 +409,23 @@ bool Enclave::txn_open() const {
 }
 
 std::uint64_t Enclave::ruleset_version() const {
-  return rules_epoch_.load(std::memory_order_acquire);
+  const state::EpochDomain::Guard guard(epochs_);
+  return committed(guard).version;
 }
 
 void Enclave::clear_all() {
   std::lock_guard lock(control_mutex_);
-  auto state = begin_mutation_locked();
-  state->actions.clear();
-  state->tables.clear();
-  state->flow_rules.clear();
+  RuleState& state = begin_mutation_locked();
+  state.actions.clear();
+  state.tables.clear();
+  state.flow_rules.clear();
   if (txn_ != nullptr) {
     // Everything installed from here on is transaction-fresh, and any
     // buffered writes targeted state that just got wiped.
     txn_->base_actions = 0;
     txn_->writes.clear();
   }
-  end_mutation_locked(std::move(state));
+  end_mutation_locked();
 }
 
 // --- Enclave API (controller side) ----------------------------------------
@@ -440,18 +453,18 @@ ActionId Enclave::install_entry(std::shared_ptr<ActionEntry> entry) {
         std::make_unique<std::array<std::mutex, ActionEntry::kGlobalStripes>>();
   }
   std::lock_guard lock(control_mutex_);
-  auto state = begin_mutation_locked();
+  RuleState& state = begin_mutation_locked();
   // Reinstalling a live name replaces the entry in its slot: the id —
   // and every rule addressing it — survives, so the data path flips to
   // the new program at the snapshot swap and name lookups can never
   // resolve to a stale duplicate. Snapshots still holding the old entry
   // keep it alive until their readers drain.
   std::shared_ptr<ActionEntry> replaced;
-  std::size_t slot = state->actions.size();
-  for (std::size_t i = 0; i < state->actions.size(); ++i) {
-    if (state->actions[i] != nullptr &&
-        state->actions[i]->name == entry->name) {
-      replaced = state->actions[i];
+  std::size_t slot = state.actions.size();
+  for (std::size_t i = 0; i < state.actions.size(); ++i) {
+    if (state.actions[i] != nullptr &&
+        state.actions[i]->name == entry->name) {
+      replaced = state.actions[i];
       slot = i;
       break;
     }
@@ -459,10 +472,10 @@ ActionId Enclave::install_entry(std::shared_ptr<ActionEntry> entry) {
   entry->id = static_cast<ActionId>(slot);
   attach_instruments(*entry);
   const ActionId id = entry->id;
-  if (slot == state->actions.size()) {
-    state->actions.push_back(std::move(entry));
+  if (slot == state.actions.size()) {
+    state.actions.push_back(std::move(entry));
   } else {
-    state->actions[slot] = std::move(entry);
+    state.actions[slot] = std::move(entry);
     if (txn_ != nullptr) {
       // Writes staged against the replaced entry would land on a dead
       // object at commit; the new program starts from schema defaults.
@@ -471,7 +484,7 @@ ActionId Enclave::install_entry(std::shared_ptr<ActionEntry> entry) {
       });
     }
   }
-  end_mutation_locked(std::move(state));
+  end_mutation_locked();
   return id;
 }
 
@@ -533,15 +546,15 @@ void Enclave::remove_action(ActionId id) {
   std::lock_guard lock(control_mutex_);
   const RuleState& view = control_view_locked();
   if (id >= view.actions.size() || view.actions[id] == nullptr) return;
-  auto state = begin_mutation_locked();
+  RuleState& state = begin_mutation_locked();
   // Remove any rules pointing at the action, then drop it. The slot is
   // left as a hole so action ids stay stable.
-  for (Table& table : state->tables) {
+  for (Table& table : state.tables) {
     std::erase_if(table.rules,
                   [id](const MatchRule& r) { return r.action == id; });
   }
-  state->actions[id] = nullptr;
-  end_mutation_locked(std::move(state));
+  state.actions[id] = nullptr;
+  end_mutation_locked();
 }
 
 std::optional<ActionId> Enclave::find_action(const std::string& name) const {
@@ -554,19 +567,19 @@ std::optional<ActionId> Enclave::find_action(const std::string& name) const {
 
 TableId Enclave::create_table(const std::string& name) {
   std::lock_guard lock(control_mutex_);
-  auto state = begin_mutation_locked();
+  RuleState& state = begin_mutation_locked();
   const TableId id = next_table_id_++;
-  state->tables.push_back(Table{id, name, {}});
-  end_mutation_locked(std::move(state));
+  state.tables.push_back(Table{id, name, {}});
+  end_mutation_locked();
   return id;
 }
 
 void Enclave::delete_table(TableId table) {
   std::lock_guard lock(control_mutex_);
-  auto state = begin_mutation_locked();
-  std::erase_if(state->tables,
+  RuleState& state = begin_mutation_locked();
+  std::erase_if(state.tables,
                 [table](const Table& t) { return t.id == table; });
-  end_mutation_locked(std::move(state));
+  end_mutation_locked();
 }
 
 std::optional<TableId> Enclave::find_table_id(const std::string& name) const {
@@ -580,39 +593,40 @@ std::optional<TableId> Enclave::find_table_id(const std::string& name) const {
 MatchRuleId Enclave::add_rule(TableId table, ClassPattern pattern,
                               ActionId action) {
   std::lock_guard lock(control_mutex_);
-  auto state = begin_mutation_locked();
-  Table* t = nullptr;
-  for (Table& candidate : state->tables) {
-    if (candidate.id == table) {
-      t = &candidate;
-      break;
-    }
-  }
-  if (t == nullptr) throw std::invalid_argument("no such table");
-  if (action >= state->actions.size() ||
-      state->actions[action] == nullptr) {
+  // Validate against the current view first, so a rejected call leaves
+  // no draft behind.
+  const RuleState& view = control_view_locked();
+  const auto t = std::find_if(view.tables.begin(), view.tables.end(),
+                              [table](const Table& c) { return c.id == table; });
+  if (t == view.tables.end()) throw std::invalid_argument("no such table");
+  if (action >= view.actions.size() || view.actions[action] == nullptr) {
     throw std::invalid_argument("no such action");
   }
+  const std::size_t index = t - view.tables.begin();
+  RuleState& state = begin_mutation_locked();
   const MatchRuleId id = next_rule_id_++;
-  t->rules.push_back(MatchRule{id, std::move(pattern), action});
-  end_mutation_locked(std::move(state));
+  state.tables[index].rules.push_back(
+      MatchRule{id, std::move(pattern), action});
+  end_mutation_locked();
   return id;
 }
 
 bool Enclave::remove_rule(TableId table, MatchRuleId rule) {
   std::lock_guard lock(control_mutex_);
-  auto state = begin_mutation_locked();
-  bool removed = false;
-  for (Table& t : state->tables) {
-    if (t.id != table) continue;
-    const auto before = t.rules.size();
-    std::erase_if(t.rules,
-                  [rule](const MatchRule& r) { return r.id == rule; });
-    removed = t.rules.size() != before;
-    break;
+  const RuleState& view = control_view_locked();
+  const auto is_rule = [rule](const MatchRule& r) { return r.id == rule; };
+  for (std::size_t i = 0; i < view.tables.size(); ++i) {
+    if (view.tables[i].id != table) continue;
+    if (std::none_of(view.tables[i].rules.begin(),
+                     view.tables[i].rules.end(), is_rule)) {
+      return false;
+    }
+    RuleState& state = begin_mutation_locked();
+    std::erase_if(state.tables[i].rules, is_rule);
+    end_mutation_locked();
+    return true;
   }
-  if (removed) end_mutation_locked(std::move(state));
-  return removed;
+  return false;
 }
 
 std::size_t Enclave::rule_count(TableId table) const {
@@ -625,16 +639,16 @@ std::size_t Enclave::rule_count(TableId table) const {
 
 void Enclave::add_flow_rule(FlowClassifierRule rule) {
   std::lock_guard lock(control_mutex_);
-  auto state = begin_mutation_locked();
-  state->flow_rules.push_back(rule);
-  end_mutation_locked(std::move(state));
+  RuleState& state = begin_mutation_locked();
+  state.flow_rules.push_back(rule);
+  end_mutation_locked();
 }
 
 void Enclave::clear_flow_rules() {
   std::lock_guard lock(control_mutex_);
-  auto state = begin_mutation_locked();
-  state->flow_rules.clear();
-  end_mutation_locked(std::move(state));
+  RuleState& state = begin_mutation_locked();
+  state.flow_rules.clear();
+  end_mutation_locked();
 }
 
 void Enclave::set_global_scalar(ActionId id, const std::string& field,
@@ -763,8 +777,10 @@ state::FlowStore::Entry* Enclave::message_entry(
 
 // Opportunistic idle expiry: every thread on the data path advances the
 // timer wheels (and reclaims epoch-retired memory) once per
-// kExpiryPacePackets packets. Workers that want tighter expiry latency
-// or stripe partitioning call advance_message_expiry() themselves.
+// kExpiryPacePackets packets. It runs under the call's guard, so what a
+// sweep retires is recycled by a later sweep. Workers that want tighter
+// expiry latency or stripe partitioning call advance_message_expiry()
+// themselves.
 void Enclave::maybe_advance_expiry(detail::ThreadState& ts,
                                    const RuleState& rules) {
   if (--ts.expiry_countdown != 0) [[likely]] {
@@ -782,9 +798,9 @@ void Enclave::maybe_advance_expiry(detail::ThreadState& ts,
 void Enclave::advance_message_expiry(std::size_t stripe,
                                      std::size_t stripes) {
   if (stripes == 0) stripes = 1;
-  const std::shared_ptr<const RuleState> rules = committed();
+  const state::EpochDomain::Guard guard(epochs_);
   const std::int64_t now = now_ns();
-  for (const auto& entry : rules->actions) {
+  for (const auto& entry : committed(guard).actions) {
     if (entry != nullptr && entry->messages != nullptr) {
       entry->messages->advance_stripe(stripe, stripes, now);
     }
@@ -836,129 +852,83 @@ Enclave::ClassCounters* Enclave::class_counter(ClassId cls) {
 
 bool Enclave::process(netsim::Packet& packet) {
   ThreadState& ts = thread_state();
-  const RuleState& rules = data_snapshot(ts);
-  counters_.packets.fetch_add(1, std::memory_order_relaxed);
-  if (config_.message_idle_timeout_ns > 0) maybe_advance_expiry(ts, rules);
-  return process_one(ts, rules, packet);
-}
-
-// One packet against an already-acquired snapshot. Shared by process()
-// and the multi-table fallback of process_batch(), so a batch always
-// pays for exactly one epoch check however it executes. Does not touch
-// the packets counter (the entry points account for it).
-bool Enclave::process_one(detail::ThreadState& ts, const RuleState& rules,
-                          netsim::Packet& packet) {
-  // Packets that arrive unstamped (direct callers without a stage in
-  // front) start a lifecycle trace here, paced by the collector's own
-  // 1-in-N countdown. Everything downstream keys off meta.trace_id, so
-  // an untraced packet costs one branch per hop.
-  if (config_.telemetry.span_sample_every != 0 && packet.meta.trace_id == 0) {
-    packet.meta.trace_id = spans_.maybe_start_trace();
-  }
-  classify_flow(rules, packet);
-
-  const std::int64_t trace_id = packet.meta.trace_id;
-  std::int64_t span_t0 = 0;
-  if (trace_id != 0) span_t0 = spans_.now_ns();
-
-  for (const Table& table : rules.tables) {
-    const TableMatch hit = match_in_table(table, packet);
-    if (hit.rule == nullptr) continue;
-    ActionEntry* entry = hit.rule->action < rules.actions.size()
-                             ? rules.actions[hit.rule->action].get()
-                             : nullptr;
-    if (entry == nullptr) continue;
-    if (trace_id != 0) {
-      const std::int64_t now = spans_.now_ns();
-      spans_.record(trace_id, telemetry::Hop::enclave_match, now,
-                    now - span_t0, entry->id);
-    }
-    // With per-class telemetry on, the class slot is the sole counter
-    // for this packet and stats() folds the slots back into the totals;
-    // matching costs the same single fetch_add either way.
-    ClassCounters* cls = class_counter(hit.cls);
-    if (cls != nullptr) {
-      cls->matched.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      counters_.matched.fetch_add(1, std::memory_order_relaxed);
-    }
-    run_action(ts, *entry, packet);
-    if (packet.drop_mark) {
-      if (cls != nullptr) {
-        cls->dropped.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        counters_.dropped_by_action.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (trace_id != 0) {
-        spans_.record_now(trace_id, telemetry::Hop::enclave_drop, entry->id);
-      }
-      return false;
-    }
-  }
-  return true;
+  ts.live.clear();
+  ts.live.push_back(&packet);
+  return run_tables(ts) != 0;
 }
 
 std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
   ThreadState& ts = thread_state();
-  const RuleState& rules = data_snapshot(ts);
-  counters_.packets.fetch_add(batch.size(), std::memory_order_relaxed);
+  ts.live.clear();
+  for (const netsim::PacketPtr& p : batch) ts.live.push_back(p.get());
+  return run_tables(ts);
+}
+
+std::size_t Enclave::run_tables(ThreadState& ts) {
+  counters_.packets.fetch_add(ts.live.size(), std::memory_order_relaxed);
+  // One guard for the whole call pins both the rule snapshot and every
+  // message-state entry the groups acquire: neither can be freed under
+  // the call even if a publish, expiry, eviction or shard resize unlinks
+  // it meanwhile.
+  const state::EpochDomain::Guard guard(epochs_);
+  const RuleState& rules = committed(guard);
   if (config_.message_idle_timeout_ns > 0) maybe_advance_expiry(ts, rules);
-  // Multiple tables compose per packet; run the per-packet path, still
-  // against the batch's one snapshot acquisition.
-  if (rules.tables.size() > 1) {
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (i + util::kPrefetchAhead < batch.size()) {
-        util::prefetch_write(batch[i + util::kPrefetchAhead].get());
-      }
-      if (process_one(ts, rules, *batch[i])) ++kept;
-    }
-    return kept;
-  }
 
-  const Table* table = rules.tables.empty() ? nullptr : &rules.tables.front();
-
-  // Pre-process: classify, match, and split by (action, message) so the
-  // lock and state copy are taken once per message rather than once per
-  // packet. Grouping reuses the thread's scratch vectors — a sort of
-  // (entry, key, arrival index) triples — so a steady-state batch costs
-  // no allocation; the arrival-index tiebreak preserves order within
-  // each message.
-  ts.batch_items.clear();
-  ts.batch_classes.clear();
+  // Packets that arrive unstamped (direct callers without a stage in
+  // front) start a lifecycle trace here, paced by the collector's own
+  // 1-in-N countdown. Everything downstream keys off meta.trace_id, so
+  // an untraced packet costs one branch per hop.
   const bool span_start = config_.telemetry.span_sample_every != 0;
+  for (std::size_t i = 0; i < ts.live.size(); ++i) {
+    // Prefetch-ahead: packet i+k's header/meta lines are on their way
+    // while i classifies, hiding the pointer-chase miss that otherwise
+    // dominates a cold batch.
+    if (i + util::kPrefetchAhead < ts.live.size()) {
+      util::prefetch_write(ts.live[i + util::kPrefetchAhead]);
+    }
+    netsim::Packet& p = *ts.live[i];
+    if (span_start && p.meta.trace_id == 0) {
+      p.meta.trace_id = spans_.maybe_start_trace();
+    }
+    classify_flow(rules, p);
+  }
+  for (const Table& table : rules.tables) {
+    if (ts.live.empty()) break;
+    run_table(ts, rules, table, guard);
+  }
+  return ts.live.size();
+}
+
+// One grouped pass of a table over the live packets: match, split by
+// (action, message) so the lock and state copy are taken once per
+// message rather than once per packet, run the groups, then drop from
+// the live list every packet its action dropped. Grouping sorts the
+// thread's scratch (entry, key, arrival index) items, so a steady-state
+// pass costs no allocation; the arrival-index tiebreak preserves order
+// within each message.
+void Enclave::run_table(ThreadState& ts, const RuleState& rules,
+                        const Table& table,
+                        const state::EpochDomain::Guard& guard) {
+  ts.batch_items.clear();
   std::uint32_t order = 0;
-  for (std::size_t bi = 0; bi < batch.size(); ++bi) {
-    // Prefetch-ahead: packet bi+k's header/meta lines are on their way
-    // while bi classifies and matches, hiding the pointer-chase miss
-    // that otherwise dominates a cold batch.
-    if (bi + util::kPrefetchAhead < batch.size()) {
-      util::prefetch_write(batch[bi + util::kPrefetchAhead].get());
-    }
-    const netsim::PacketPtr& p = batch[bi];
-    if (span_start && p->meta.trace_id == 0) {
-      p->meta.trace_id = spans_.maybe_start_trace();
-    }
-    classify_flow(rules, *p);
-    if (table == nullptr) continue;
-    const TableMatch hit = match_in_table(*table, *p);
+  for (netsim::Packet* p : ts.live) {
+    const TableMatch hit = match_in_table(table, *p);
     if (hit.rule == nullptr) continue;
     ActionEntry* entry = hit.rule->action < rules.actions.size()
                              ? rules.actions[hit.rule->action].get()
                              : nullptr;
     if (entry == nullptr) continue;
     if (p->meta.trace_id != 0) {
-      // Match duration is folded into the pre-process pass here; record
-      // the hop as an instant so the batched and per-packet paths emit
-      // the same sequence.
+      // Matching is folded into the pass, so the hop is an instant.
       spans_.record_now(p->meta.trace_id, telemetry::Hop::enclave_match,
                         entry->id);
     }
-    // Sole matched/dropped accounting when per-class telemetry is on
-    // (stats() folds the slots back into the totals).
-    if (ClassCounters* cls = class_counter(hit.cls); cls != nullptr) {
+    // With per-class telemetry on, the class slot is the sole matched/
+    // dropped counter for this packet and stats() folds the slots back
+    // into the totals.
+    ClassCounters* cls = class_counter(hit.cls);
+    if (cls != nullptr) {
       cls->matched.fetch_add(1, std::memory_order_relaxed);
-      ts.batch_classes.emplace_back(p.get(), cls);
     } else {
       counters_.matched.fetch_add(1, std::memory_order_relaxed);
     }
@@ -968,29 +938,35 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
     const std::int64_t key = entry->touches_message || entry->global_sharded
                                  ? message_key(*p)
                                  : 0;
-    ts.batch_items.push_back({entry, key, order++, p.get()});
+    ts.batch_items.push_back({entry, key, order++, p, cls});
   }
-  std::sort(ts.batch_items.begin(), ts.batch_items.end(),
-            [](const ThreadState::BatchItem& a,
-               const ThreadState::BatchItem& b) {
-              if (a.entry != b.entry) return a.entry < b.entry;
-              if (a.key != b.key) return a.key < b.key;
-              return a.order < b.order;
-            });
-  if (!ts.batch_items.empty()) {
-    // Overlap the message-store misses across the whole batch: the
-    // first wave warms each group's table lines, the second chases the
-    // slot pointers and pulls the entry lines write-intent, so the
-    // acquire inside run_action_batch hits cache even at millions of
-    // live messages. Group heads only — the groups share entries.
-    state::EpochDomain::Guard guard(state::EpochDomain::instance());
+  if (ts.batch_items.empty()) return;
+  const auto same_group = [](const ThreadState::BatchItem& a,
+                             const ThreadState::BatchItem& b) {
+    return a.entry == b.entry && a.key == b.key;
+  };
+  if (ts.batch_items.size() > 1) {
+    std::sort(ts.batch_items.begin(), ts.batch_items.end(),
+              [](const ThreadState::BatchItem& a,
+                 const ThreadState::BatchItem& b) {
+                if (a.entry != b.entry) return a.entry < b.entry;
+                if (a.key != b.key) return a.key < b.key;
+                return a.order < b.order;
+              });
+  }
+  if (!same_group(ts.batch_items.front(), ts.batch_items.back())) {
+    // Overlap the message-store misses across the groups: the first
+    // wave warms each group's table lines, the second chases the slot
+    // pointers and pulls the entry lines write-intent, the third the
+    // state payload, so the acquire inside run_action_batch hits cache
+    // even at millions of live messages. Group heads only — the groups
+    // share entries. A single group has nothing to overlap.
     const auto is_head = [&](std::size_t i) {
       const ThreadState::BatchItem& it = ts.batch_items[i];
       if (!it.entry->touches_message || it.entry->messages == nullptr) {
         return false;
       }
-      return i == 0 || it.entry != ts.batch_items[i - 1].entry ||
-             it.key != ts.batch_items[i - 1].key;
+      return i == 0 || !same_group(it, ts.batch_items[i - 1]);
     };
     for (std::size_t i = 0; i < ts.batch_items.size(); ++i) {
       if (is_head(i)) {
@@ -1015,9 +991,7 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
     const ThreadState::BatchItem& head = ts.batch_items[i];
     ts.batch_group.clear();
     std::size_t j = i;
-    for (; j < ts.batch_items.size() &&
-           ts.batch_items[j].entry == head.entry &&
-           ts.batch_items[j].key == head.key;
+    for (; j < ts.batch_items.size() && same_group(ts.batch_items[j], head);
          ++j) {
       ts.batch_group.push_back(ts.batch_items[j].pkt);
     }
@@ -1025,48 +999,42 @@ std::size_t Enclave::process_batch(std::span<netsim::PacketPtr> batch) {
     if (j < ts.batch_items.size()) {
       util::prefetch_write(ts.batch_items[j].pkt);
     }
-    run_action_batch(ts, *head.entry, ts.batch_group);
+    run_action_batch(ts, guard, *head.entry, ts.batch_group);
     i = j;
   }
 
-  std::size_t kept = 0;
-  for (const netsim::PacketPtr& p : batch) {
-    if (!p->drop_mark) {
-      ++kept;
+  // A dropped packet is counted once, against the class this table
+  // matched it on, and runs no later table.
+  bool dropped = false;
+  for (const ThreadState::BatchItem& it : ts.batch_items) {
+    if (!it.pkt->drop_mark) continue;
+    dropped = true;
+    if (it.cls != nullptr) {
+      it.cls->dropped.fetch_add(1, std::memory_order_relaxed);
     } else {
-      if (class_counters_ == nullptr) {
-        counters_.dropped_by_action.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (p->meta.trace_id != 0) {
-        spans_.record_now(p->meta.trace_id, telemetry::Hop::enclave_drop);
-      }
+      counters_.dropped_by_action.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (it.pkt->meta.trace_id != 0) {
+      spans_.record_now(it.pkt->meta.trace_id, telemetry::Hop::enclave_drop,
+                        it.entry->id);
     }
   }
-  for (const auto& [p, cls] : ts.batch_classes) {
-    if (p->drop_mark) cls->dropped.fetch_add(1, std::memory_order_relaxed);
+  if (dropped) {
+    std::erase_if(ts.live,
+                  [](const netsim::Packet* p) { return p->drop_mark; });
   }
-  return kept;
-}
-
-void Enclave::run_action(detail::ThreadState& ts, ActionEntry& entry,
-                         netsim::Packet& packet) {
-  netsim::Packet* one = &packet;
-  run_action_batch(ts, entry, std::span<netsim::Packet* const>(&one, 1));
 }
 
 // Executes the action for every packet of one message (all packets in
 // `packets` share the message key, or the action does not touch message
 // state). Locking and the message-state copy happen once for the whole
-// group; each packet still commits or rolls back independently.
-void Enclave::run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
+// group; each packet still commits or rolls back independently. The
+// caller's guard keeps msg_entry (and the table it was probed through)
+// alive for the whole group.
+void Enclave::run_action_batch(detail::ThreadState& ts,
+                               const state::EpochDomain::Guard& guard,
+                               ActionEntry& entry,
                                std::span<netsim::Packet* const> packets) {
-  if (packets.empty()) return;
-
-  // Message-state entries are epoch-protected: the guard keeps
-  // msg_entry (and the table it was probed through) alive for the
-  // whole group even if concurrent expiry, capacity eviction or a
-  // shard resize unlinks it mid-run.
-  state::EpochDomain::Guard guard(state::EpochDomain::instance());
   state::FlowStore::Entry* msg_entry = nullptr;
   if (entry.touches_message) {
     msg_entry = message_entry(guard, entry, *packets[0]);
@@ -1250,8 +1218,8 @@ EnclaveStats Enclave::stats() const {
       counters_.message_entries_expired.load(std::memory_order_relaxed);
   // Live entries are per-store state, not a monotonic counter: sum the
   // currently installed actions' stores.
-  const std::shared_ptr<const RuleState> rules = committed();
-  for (const auto& entry : rules->actions) {
+  const state::EpochDomain::Guard guard(epochs_);
+  for (const auto& entry : committed(guard).actions) {
     if (entry != nullptr && entry->messages != nullptr) {
       s.message_entries_live += entry->messages->live();
     }
@@ -1301,10 +1269,11 @@ telemetry::EnclaveTelemetry Enclave::telemetry_snapshot() const {
   t.message_entries_evicted = s.message_entries_evicted;
   t.message_entries_expired = s.message_entries_expired;
 
-  const std::shared_ptr<const RuleState> rules = committed();
+  const state::EpochDomain::Guard guard(epochs_);
+  const RuleState& rules = committed(guard);
   // Message-state store section: totals across the installed actions'
   // FlowStores (eden_state_* series).
-  for (const auto& entry : rules->actions) {
+  for (const auto& entry : rules.actions) {
     if (entry == nullptr || entry->messages == nullptr) continue;
     const state::FlowStoreStats fs = entry->messages->stats();
     t.state.present = true;
@@ -1315,7 +1284,7 @@ telemetry::EnclaveTelemetry Enclave::telemetry_snapshot() const {
     t.state.resizes += fs.resizes;
     t.state.probe_len.merge(fs.probe_len);
   }
-  for (const auto& entry : rules->actions) {
+  for (const auto& entry : rules.actions) {
     if (entry == nullptr) continue;
     telemetry::ActionTelemetry a;
     a.name = entry->name;
@@ -1382,9 +1351,9 @@ telemetry::EnclaveTelemetry Enclave::telemetry_snapshot() const {
       telemetry::TraceEntry e;
       e.ts_ns = r.ts_ns;
       e.class_name = class_display_name(r.class_id);
-      const bool live = r.action_id < rules->actions.size() &&
-                        rules->actions[r.action_id] != nullptr;
-      e.action = live ? rules->actions[r.action_id]->name
+      const bool live = r.action_id < rules.actions.size() &&
+                        rules.actions[r.action_id] != nullptr;
+      e.action = live ? rules.actions[r.action_id]->name
                       : "#" + std::to_string(r.action_id);
       e.status = std::string(
           lang::exec_status_name(static_cast<lang::ExecStatus>(r.status)));

@@ -14,9 +14,10 @@
 //    five-tuple rules that let the enclave classify traffic of
 //    unmodified applications into flow-level messages.
 //
-// process() is the data path: thread-compatible, lock-free for
-// `parallel` actions, per-message locked for `per_message`, fully locked
-// for `serialized` — exactly the model of Section 3.4.4.
+// process_batch() is the data path (process() is a batch of one):
+// thread-compatible, lock-free for `parallel` actions, per-message locked
+// for `per_message`, fully locked for `serialized` — exactly the model of
+// Section 3.4.4.
 #pragma once
 
 #include <array>
@@ -290,8 +291,9 @@ class Enclave {
 
   // --- Data path ---------------------------------------------------------
 
-  // Runs the packet through flow classification and every table. Returns
-  // false if an action asked for the packet to be dropped.
+  // Runs the packet through flow classification and every table: a batch
+  // of one through process_batch()'s path. Returns false if an action
+  // asked for the packet to be dropped.
   bool process(netsim::Packet& packet);
 
   // Shard-steering key for multi-core data planes (hoststack/dataplane):
@@ -302,13 +304,14 @@ class Enclave {
   // directions of a symmetric-keyed flow co-shard.
   static std::uint64_t steering_key(const netsim::Packet& packet);
 
-  // Batched execution (Section 6): the enclave pre-processes the batch,
-  // splits it by message, and runs each message's packets under a single
-  // lock acquisition and state copy. Semantically identical to calling
-  // process() per packet (packet order inside each message is
-  // preserved; a faulty execution still rolls back only its own
-  // packet). Falls back to per-packet processing when more than one
-  // table is installed. Sets drop_mark on dropped packets and returns
+  // Batched execution (Section 6): the enclave classifies the batch,
+  // then runs one grouped pass per table, in table order, over the
+  // packets no earlier table dropped. Each pass splits its matches by
+  // (action, message) and runs each group under a single lock
+  // acquisition and state copy, so table k's action runs for every live
+  // packet before table k+1's, and each action still sees each
+  // message's packets in arrival order (a faulty execution rolls back
+  // only its own packet). Sets drop_mark on dropped packets and returns
   // the number of surviving packets.
   std::size_t process_batch(std::span<netsim::PacketPtr> batch);
 
@@ -447,17 +450,22 @@ class Enclave {
 
   // The published rule-set: an immutable snapshot of tables, flow rules
   // and the action vector, swapped in wholesale on every control-plane
-  // publish (RCU style). Defined in enclave.cpp; the header only ever
-  // holds it through a shared_ptr.
+  // publish (RCU style) and retired through state::EpochDomain. Defined
+  // in enclave.cpp.
   struct RuleState;
+  struct RetiredRules;
   struct Txn;
   friend struct detail::ThreadState;
 
-  bool process_one(detail::ThreadState& ts, const RuleState& rules,
-                   netsim::Packet& packet);
-  void run_action(detail::ThreadState& ts, ActionEntry& entry,
-                  netsim::Packet& packet);
-  void run_action_batch(detail::ThreadState& ts, ActionEntry& entry,
+  // The data path shared by process() and process_batch(): runs the
+  // packets in the thread's live list through every table and leaves
+  // the survivors there.
+  std::size_t run_tables(detail::ThreadState& ts);
+  void run_table(detail::ThreadState& ts, const RuleState& rules,
+                 const Table& table, const state::EpochDomain::Guard& guard);
+  void run_action_batch(detail::ThreadState& ts,
+                        const state::EpochDomain::Guard& guard,
+                        ActionEntry& entry,
                         std::span<netsim::Packet* const> packets);
   TableMatch match_in_table(const Table& table,
                             const netsim::Packet& packet) const;
@@ -477,19 +485,16 @@ class Enclave {
   static std::int64_t message_key(const netsim::Packet& p);
   static std::int64_t symmetric_message_key(const netsim::Packet& p);
 
-  // Data-path snapshot access: one acquire load of the publish epoch per
-  // call; the shared_ptr itself is refetched (under publish_mutex_) only
-  // when the epoch moved, so steady-state reads touch no reference
-  // count and take no lock.
   detail::ThreadState& thread_state() const;
-  const RuleState& data_snapshot(detail::ThreadState& ts) const;
+  // The committed snapshot: one acquire load, valid while `guard` (or
+  // control_mutex_, which every retire holds) is held.
+  const RuleState& committed(const state::EpochDomain::Guard& guard) const;
 
   // Control-plane helpers. _locked variants require control_mutex_.
-  std::shared_ptr<const RuleState> committed() const;
   const RuleState& control_view_locked() const;
-  std::shared_ptr<RuleState> begin_mutation_locked();
-  void end_mutation_locked(std::shared_ptr<RuleState> next);
-  std::uint64_t publish_locked(std::shared_ptr<RuleState> next);
+  RuleState& begin_mutation_locked();
+  void end_mutation_locked();
+  std::uint64_t publish_locked(std::unique_ptr<RuleState> next);
   std::shared_ptr<ActionEntry> checked_entry(ActionId id) const;
   ActionId install_entry(std::shared_ptr<ActionEntry> entry);
 
@@ -503,16 +508,19 @@ class Enclave {
   // Cached once: instance() is out of line and guarded by the magic
   // static check, which is too much for a per-packet call site.
   telemetry::SpanCollector& spans_ = telemetry::SpanCollector::instance();
+  state::EpochDomain& epochs_ = state::EpochDomain::instance();
 
-  // rules_ is the committed snapshot; readers cache it per thread and
-  // revalidate against rules_epoch_ (the snapshot's version) on every
-  // packet. control_mutex_ serializes mutators; publish_mutex_ only
-  // guards the pointer hand-off between a publish and a reader refresh.
+  // rules_ owns the committed snapshot. Readers load it under an
+  // EpochDomain guard; a publish swaps it and parks the old snapshot on
+  // retired_ until no guard can still hold it. control_mutex_ serializes
+  // mutators and guards draft_ and retired_.
   mutable std::mutex control_mutex_;
-  mutable std::mutex publish_mutex_;
-  std::shared_ptr<const RuleState> rules_;
-  std::atomic<std::uint64_t> rules_epoch_{0};
+  std::atomic<const RuleState*> rules_;
+  std::vector<RetiredRules> retired_;
+  std::unique_ptr<RuleState> draft_;  // a mutation outside a transaction
   std::uint64_t next_version_ = 1;
+  // Hands each thread's ThreadState its ordinal, which seeds its RNGs.
+  mutable std::atomic<std::uint64_t> next_thread_ordinal_{0};
   std::unique_ptr<Txn> txn_;
   std::uint64_t next_txn_id_ = 1;
   MatchRuleId next_rule_id_ = 1;

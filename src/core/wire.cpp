@@ -528,6 +528,10 @@ Response apply_checked(Enclave& enclave, std::span<const std::uint8_t> frame,
       resp.payload.assign(json.begin(), json.end());
       return resp;
     }
+    case Command::get_stage_info:
+    case Command::create_stage_rule:
+    case Command::remove_stage_rule:
+      break;  // Stage API frames go to a stage, never to an enclave.
   }
   return fail(Status::bad_request, "unhandled command");
 }

@@ -116,8 +116,4 @@ using PacketPtr = std::shared_ptr<Packet>;
 PacketPtr make_packet();
 PacketPtr try_make_packet();
 
-// Deep copy (ClassList and PacketMeta are value types, so default copy
-// semantics suffice; the helper exists for call-site clarity).
-PacketPtr clone_packet(const Packet& p);
-
 }  // namespace eden::netsim

@@ -395,15 +395,6 @@ PacketPtr PacketPool::try_make() {
   }
 }
 
-PacketPtr PacketPool::clone(const Packet& p) {
-  try {
-    return std::allocate_shared<Packet>(PoolAllocator<Packet>(this, id_), p);
-  } catch (const std::bad_alloc&) {
-    impl_->heap_fallback_total.fetch_add(1, std::memory_order_relaxed);
-    return std::make_shared<Packet>(p);
-  }
-}
-
 PacketPoolStats PacketPool::stats() const {
   PacketPoolStats s;
   std::lock_guard<std::mutex> lock(impl_->mu);
@@ -430,7 +421,5 @@ PacketPool& default_packet_pool() {
 PacketPtr make_packet() { return default_packet_pool().make(); }
 
 PacketPtr try_make_packet() { return default_packet_pool().try_make(); }
-
-PacketPtr clone_packet(const Packet& p) { return default_packet_pool().clone(p); }
 
 }  // namespace eden::netsim

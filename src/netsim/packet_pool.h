@@ -83,8 +83,6 @@ class PacketPool {
   // exhausted_total). Data-path producers use this to drop-and-count
   // instead of silently growing the heap.
   PacketPtr try_make();
-  // Pooled deep copy.
-  PacketPtr clone(const Packet& p);
 
   PacketPoolStats stats() const;
   const PacketPoolConfig& config() const { return config_; }
@@ -105,7 +103,7 @@ class PacketPool {
   std::uint64_t id_;
 };
 
-// The process-wide pool behind make_packet()/clone_packet().
+// The process-wide pool behind make_packet()/try_make_packet().
 PacketPool& default_packet_pool();
 
 }  // namespace eden::netsim

@@ -6,10 +6,10 @@
 // (insert / resize / expiry / eviction) run under the shard lock and
 // may unlink entries or swap whole tables while readers are mid-probe.
 // Nothing unlinked may be FREED until every reader that could have
-// observed it is gone — that is this domain's job, extending the RCU
-// idiom the enclave already uses for rule snapshots (per-thread
-// epoch-cached shared_ptr) down to individual table entries, where a
-// shared_ptr per probe would defeat the point of the exercise.
+// observed it is gone — that is this domain's job. The enclave retires
+// its rule snapshots through the same protocol, so one guard per
+// data-path call covers the snapshot and every table entry the call
+// touches.
 //
 // Protocol
 //   * Readers wrap each traversal in a Guard. Enter pins the thread's

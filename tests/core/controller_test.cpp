@@ -144,10 +144,13 @@ TEST(Controller, CollectTelemetrySkipsAndReportsUnreachableRemotes) {
                                 return telemetry::to_json(telemetry::aggregate(
                                     {far.telemetry_snapshot()}));
                               },
+                              {},
+                              {},
                               {}});
-  controller.register_remote({"dead", []() { return std::string{}; }, {}});
   controller.register_remote(
-      {"garbled", []() { return std::string{"{]not json"}; }, {}});
+      {"dead", []() { return std::string{}; }, {}, {}, {}});
+  controller.register_remote(
+      {"garbled", []() { return std::string{"{]not json"}; }, {}, {}, {}});
 
   std::vector<std::string> unreachable;
   const telemetry::AggregateTelemetry agg =
@@ -164,7 +167,8 @@ TEST(Controller, CollectTelemetrySkipsAndReportsUnreachableRemotes) {
 TEST(Controller, CollectSpansReportsUnreachableRemotes) {
   ClassRegistry registry;
   Controller controller(registry);
-  controller.register_remote({"mute", {}, []() { return std::string{}; }});
+  controller.register_remote(
+      {"mute", {}, []() { return std::string{}; }, {}, {}});
 
   std::vector<std::string> unreachable;
   const std::string trace = controller.collect_spans_json(&unreachable);
@@ -182,7 +186,7 @@ TEST(Controller, CollectSpansCapsPerAgentAndMarksTruncation) {
       R"({"traceEvents":[{"name":"a","args":{"x":1}},)"
       R"({"name":"b{}]tricky"},{"name":"c"},{"name":"d"},{"name":"e"}]})";
   controller.register_remote(
-      {"busy", {}, [remote_dump]() { return remote_dump; }});
+      {"busy", {}, [remote_dump]() { return remote_dump; }, {}, {}});
 
   std::vector<std::string> unreachable;
   const std::string capped =

@@ -636,29 +636,62 @@ TEST_F(EnclaveTest, BatchRollsBackOnlyFaultyPackets) {
   EXPECT_EQ(enclave_.action_stats(action).errors, 1u);
 }
 
-TEST_F(EnclaveTest, BatchFallsBackWithMultipleTables) {
-  const ActionId prio = install("prio", "fun(p, m, g) -> p.priority <- 4");
-  const ActionId path = install("path", "fun(p, m, g) -> p.path <- 17");
-  const TableId t1 = enclave_.create_table("t1");
-  const TableId t2 = enclave_.create_table("t2");
-  enclave_.add_rule(t1, ClassPattern("*"), prio);
-  enclave_.add_rule(t2, ClassPattern("*"), path);
-  std::vector<netsim::PacketPtr> batch;
-  for (int i = 0; i < 3; ++i) {
-    auto p = netsim::make_packet();
-    *p = tcp_packet();
-    batch.push_back(std::move(p));
-  }
-  EXPECT_EQ(enclave_.process_batch(batch), 3u);
-  for (const auto& p : batch) {
-    EXPECT_EQ(p->priority, 4);
-    EXPECT_EQ(p->path_label, 17);
-  }
-}
-
 TEST_F(EnclaveTest, EmptyBatchIsFine) {
   std::vector<netsim::PacketPtr> batch;
   EXPECT_EQ(enclave_.process_batch(batch), 0u);
+}
+
+// Every thread's ThreadState seeds its RNGs from its own ordinal: two
+// data-path threads must not replay the same rand() stream, while the
+// first thread keeps drawing from rng_seed itself.
+TEST_F(EnclaveTest, ThreadsDrawIndependentRngStreams) {
+  std::vector<std::uint64_t> draws;
+  const ActionId action = enclave_.install_native_action(
+      "draw",
+      [&draws](lang::StateBlock&, lang::StateBlock*, lang::StateBlock*,
+               NativeCtx& ctx) {
+        draws.push_back(ctx.rng.next_u64());
+        return lang::ExecStatus::ok;
+      },
+      lang::ConcurrencyMode::parallel, /*touches_message=*/false);
+  enclave_.add_rule(enclave_.create_table("t"), ClassPattern("*"), action);
+  // One thread at a time, so the action's vector needs no lock.
+  const auto draw_on_new_thread = [&] {
+    draws.clear();
+    std::thread([&] {
+      for (int i = 0; i < 8; ++i) {
+        netsim::Packet packet = tcp_packet();
+        enclave_.process(packet);
+      }
+    }).join();
+    return draws;
+  };
+  const std::vector<std::uint64_t> first = draw_on_new_thread();
+  const std::vector<std::uint64_t> second = draw_on_new_thread();
+  ASSERT_EQ(first.size(), 8u);
+  ASSERT_EQ(second.size(), 8u);
+  EXPECT_NE(first, second);
+  util::Rng seeded(enclave_.config().rng_seed ^ 0x517cc1b727220a95ULL);
+  EXPECT_EQ(first[0], seeded.next_u64());
+}
+
+// Between calls the data path holds no reference to a rule snapshot, so
+// remove_action's publish reclaims the old snapshot (and with it the
+// action, its captures and its message store) even though this thread
+// ran the action and then went idle.
+TEST_F(EnclaveTest, RemovedActionIsNotPinnedByIdleThread) {
+  auto sentinel = std::make_shared<int>(0);
+  const ActionId action = enclave_.install_native_action(
+      "pinned",
+      [sentinel](lang::StateBlock&, lang::StateBlock*, lang::StateBlock*,
+                 NativeCtx&) { return lang::ExecStatus::ok; },
+      lang::ConcurrencyMode::parallel, /*touches_message=*/false);
+  enclave_.add_rule(enclave_.create_table("t"), ClassPattern("*"), action);
+  netsim::Packet packet = tcp_packet();
+  enclave_.process(packet);
+  EXPECT_EQ(enclave_.action_stats(action).executions, 1u);
+  enclave_.remove_action(action);
+  EXPECT_EQ(sentinel.use_count(), 1);
 }
 
 // The concurrency model under real threads: a serialized (global-
@@ -908,6 +941,102 @@ TEST(EnclaveTelemetryTest, BatchPathAttributesClassesAndFolds) {
   ASSERT_EQ(t.classes.size(), 1u);
   EXPECT_EQ(t.classes[0].matched, 4u);
   EXPECT_EQ(t.classes[0].dropped, 1u);
+}
+
+// Two tables, fed the same interleaved packets one at a time and as one
+// batch: a per-message accumulator that drops large packets in table 1
+// (matched on class "acct"), a serialized global counter in table 2
+// (matched on class "count"). The batch runs each table as one grouped
+// pass over the packets still live, so it must agree with the
+// per-packet path on every packet, message state and global; a packet
+// dropped in table 1 never reaches the counter, and its drop is counted
+// once, against the class table 1 matched it on.
+TEST(EnclaveTelemetryTest, BatchRunsTablesAsOrderedGroupedPasses) {
+  ClassRegistry registry;
+  Controller controller(registry);
+  const ClassId acct = registry.intern("enclave.flows.acct");
+  const ClassId count = registry.intern("enclave.flows.count");
+  lang::FieldDef packets;
+  packets.name = "packets";
+  packets.access = lang::Access::read_write;
+  const std::vector<lang::FieldDef> globals{packets};
+  const auto program_acct = controller.compile("acct", R"(fun(p, m, g) ->
+      m.size <- m.size + p.size;
+      p.priority <- (if m.size > 4000 then 2 else 6);
+      p.drop <- p.size > 1400)",
+                                               {});
+  const auto program_count = controller.compile(
+      "count", "fun(p, m, g) -> g.packets <- g.packets + 1; p.path <- g.packets",
+      globals);
+  struct Bed {
+    Bed(const char* name, ClassRegistry& registry)
+        : enclave(name, registry, telemetry_config()) {}
+    Enclave enclave;
+    ActionId acct = 0;
+    ActionId count = 0;
+  };
+  const auto make_bed = [&](const char* name) {
+    auto bed = std::make_unique<Bed>(name, registry);
+    bed->acct = bed->enclave.install_action("acct", program_acct, {});
+    bed->count = bed->enclave.install_action("count", program_count, globals);
+    bed->enclave.add_rule(bed->enclave.create_table("t1"),
+                          ClassPattern("enclave.flows.acct"), bed->acct);
+    bed->enclave.add_rule(bed->enclave.create_table("t2"),
+                          ClassPattern("enclave.flows.count"), bed->count);
+    return bed;
+  };
+  const auto serial = make_bed("serial");
+  const auto batched = make_bed("batched");
+
+  constexpr int kPackets = 12;
+  constexpr std::uint64_t kDropped = 3;  // every fourth packet is large
+  std::vector<netsim::PacketPtr> batch;
+  std::vector<netsim::Packet> expected;
+  for (int i = 0; i < kPackets; ++i) {
+    netsim::Packet p = tcp_packet(1 + i % 3);  // three interleaved messages
+    p.size_bytes = i % 4 == 3 ? 1500 : 700;
+    p.classes.add(acct);
+    p.classes.add(count);
+    batch.push_back(netsim::make_packet());
+    *batch.back() = p;
+    EXPECT_EQ(serial->enclave.process(p), i % 4 != 3) << i;
+    expected.push_back(p);
+  }
+  EXPECT_EQ(batched->enclave.process_batch(batch), kPackets - kDropped);
+  for (int i = 0; i < kPackets; ++i) {
+    EXPECT_EQ(batch[i]->drop_mark, expected[i].drop_mark) << i;
+    EXPECT_EQ(batch[i]->priority, expected[i].priority) << i;
+    EXPECT_EQ(batch[i]->path_label, expected[i].path_label) << i;
+  }
+  for (std::int64_t msg = 1; msg <= 3; ++msg) {
+    EXPECT_EQ(
+        batched->enclave.peek_message_state(batched->acct, msg,
+                                            MessageSlot::size),
+        serial->enclave.peek_message_state(serial->acct, msg,
+                                           MessageSlot::size));
+  }
+  for (const Bed* bed : {serial.get(), batched.get()}) {
+    SCOPED_TRACE(bed->enclave.name());
+    EXPECT_EQ(bed->enclave.read_global_scalar(bed->count, "packets"),
+              static_cast<std::int64_t>(kPackets - kDropped));
+    EXPECT_EQ(bed->enclave.action_stats(bed->count).executions,
+              kPackets - kDropped);
+    const EnclaveStats stats = bed->enclave.stats();
+    EXPECT_EQ(stats.matched, kPackets + (kPackets - kDropped));
+    EXPECT_EQ(stats.dropped_by_action, kDropped);
+    const telemetry::EnclaveTelemetry t = bed->enclave.telemetry_snapshot();
+    ASSERT_EQ(t.classes.size(), 2u);
+    for (const telemetry::ClassTelemetry& c : t.classes) {
+      if (c.name == "enclave.flows.acct") {
+        EXPECT_EQ(c.matched, static_cast<std::uint64_t>(kPackets));
+        EXPECT_EQ(c.dropped, kDropped);
+      } else {
+        EXPECT_EQ(c.name, "enclave.flows.count");
+        EXPECT_EQ(c.matched, kPackets - kDropped);
+        EXPECT_EQ(c.dropped, 0u);
+      }
+    }
+  }
 }
 
 TEST(EnclaveTelemetryTest, HistogramsRecordEverySampledExecution) {

@@ -2,13 +2,13 @@
 // through the sharded DataPlane while the control-plane session layer
 // (PR4) commits rule-set transactions over a faulty link. Run under
 // TSan/ASan this is the regression test for the one-snapshot-per-batch
-// RCU path and the batched action runner racing live commits.
+// epoch-guarded path and the batched action runner racing live commits.
 //
 // Test 1 repoints rules in TWO tables per transaction (the soak-test
 // invariant): every packet must see both epoch writes or neither, so
 // p.path == p.queue on every completion or a commit tore. Two tables
-// also drive the per-packet fallback of process_batch, whose snapshot
-// is still acquired once per batch.
+// also drive process_batch's ordered grouped passes, which all read the
+// one snapshot the call's epoch guard pins.
 //
 // Test 2 uses ONE table with a per-message action (message-state
 // counter + a globals-consistency probe), driving the grouped

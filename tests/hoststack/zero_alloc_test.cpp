@@ -68,14 +68,12 @@ TEST_F(ZeroAllocTest, PooledPacketLifecycleIsAllocFree) {
     for (int round = 0; round < 1000; ++round) {
       auto p = pool.make();
       auto q = pool.try_make();
-      auto r = pool.clone(*p);
       p.reset();
       q.reset();
-      r.reset();
     }
     news = gate.news();
   }
-  EXPECT_EQ(news, 0u) << "pooled make/clone/release touched the heap";
+  EXPECT_EQ(news, 0u) << "pooled make/release touched the heap";
   EXPECT_EQ(pool.stats().heap_fallback_total, 0u);
 }
 
@@ -109,6 +107,32 @@ TEST_F(ZeroAllocTest, ProcessBatchSteadyStateIsAllocFree) {
     news = gate.news();
   }
   EXPECT_EQ(news, 0u) << "process_batch allocated in steady state";
+}
+
+TEST_F(ZeroAllocTest, ProcessSteadyStateIsAllocFree) {
+  // process() is a batch of one through the same grouped path; two
+  // tables make every call run two grouped passes.
+  install_with_rule(
+      "seq", "fun(p, m, g) -> m.state0 <- m.state0 + 1; p.path <- m.state0");
+  install_with_rule("prio", "fun(p, m, g) -> p.priority <- 3");
+
+  std::vector<netsim::Packet> packets(8);
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    fill(packets[i], static_cast<std::int64_t>(i + 1));
+  }
+  for (int i = 0; i < 100; ++i) {
+    for (netsim::Packet& p : packets) enclave_.process(p);
+  }
+
+  std::uint64_t news = 0;
+  {
+    testsupport::AllocGate gate;
+    for (int i = 0; i < 1000; ++i) {
+      for (netsim::Packet& p : packets) enclave_.process(p);
+    }
+    news = gate.news();
+  }
+  EXPECT_EQ(news, 0u) << "process allocated in steady state";
 }
 
 TEST_F(ZeroAllocTest, PooledDataPlaneSteadyStateIsAllocFree) {

@@ -25,14 +25,6 @@ TEST(PacketPool, MakeProducesFreshPackets) {
   EXPECT_EQ(p->src, 0u);
   EXPECT_EQ(p->meta.msg_id, 0);
   EXPECT_EQ(p->classes.size(), 0u);
-  p->src = 7;
-  p->meta.msg_id = 42;
-  p->classes.add(3);
-  auto q = pool.clone(*p);
-  ASSERT_NE(q, nullptr);
-  EXPECT_EQ(q->src, 7u);
-  EXPECT_EQ(q->meta.msg_id, 42);
-  EXPECT_TRUE(q->classes.contains(3));
 }
 
 TEST(PacketPool, RecycledSlotsComeBackZeroed) {
@@ -158,11 +150,8 @@ TEST(PacketPool, DefaultPoolBacksMakePacket) {
   ASSERT_NE(p, nullptr);
   auto q = try_make_packet();
   ASSERT_NE(q, nullptr);
-  auto r = clone_packet(*p);
-  ASSERT_NE(r, nullptr);
   p.reset();
   q.reset();
-  r.reset();
   const auto after = default_packet_pool().stats();
   EXPECT_GT(after.slots_materialized, 0u);
   EXPECT_GE(after.acquired_total + 3, before.acquired_total);

@@ -61,6 +61,12 @@ TEST(HistogramMergeTest, MergePreservesCountSumAndUnionQuantiles) {
   EXPECT_EQ(merged.p99(), union_stream.p99());
 }
 
+// "h<i>", built with append: the "h" + to_string form draws a false
+// -Wrestrict from g++ 12 at -O3.
+std::string host_name(std::uint64_t i) {
+  return std::string("h").append(std::to_string(i));
+}
+
 EnclaveTelemetry snapshot_for(const std::string& name, std::uint64_t seed,
                               std::size_t samples) {
   EnclaveTelemetry e;
@@ -118,7 +124,7 @@ TEST(AggregateTreeTest, AggregatePreservesHistogramTotalsAcrossEnclaves) {
 TEST(AggregateTreeTest, MergeAggregatesMatchesSerialAggregate) {
   std::vector<EnclaveTelemetry> all;
   for (std::uint64_t i = 1; i <= 9; ++i) {
-    all.push_back(snapshot_for("h" + std::to_string(i), i, 100 * i));
+    all.push_back(snapshot_for(host_name(i), i, 100 * i));
   }
   const std::string serial = to_json(aggregate(all));
 
@@ -132,7 +138,7 @@ TEST(AggregateTreeTest, MergeAggregatesMatchesSerialAggregate) {
 TEST(AggregateTreeTest, TreeMatchesSerialForAnyThreadCount) {
   std::vector<EnclaveTelemetry> all;
   for (std::uint64_t i = 1; i <= 13; ++i) {
-    all.push_back(snapshot_for("h" + std::to_string(i), i, 50 * i));
+    all.push_back(snapshot_for(host_name(i), i, 50 * i));
   }
   const std::string serial = to_json(aggregate(all));
   for (const std::size_t threads : {1u, 2u, 3u, 4u, 7u, 16u}) {

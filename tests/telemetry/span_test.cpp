@@ -297,7 +297,9 @@ TEST_F(SpanCollectorTest, ConcurrentLinkedRecordsStayUniqueAcrossWraparound) {
     EXPECT_NE(e.span_id, 0);
     EXPECT_TRUE(span_ids.insert(e.span_id).second)
         << "span id " << e.span_id << " recorded twice";
-    if (e.hop == Hop::cp_send) EXPECT_NE(e.parent_id, 0);
+    if (e.hop == Hop::cp_send) {
+      EXPECT_NE(e.parent_id, 0);
+    }
   }
   c.enable(0, SpanCollector::kDefaultLaneCapacity);
 }

@@ -607,7 +607,7 @@ int main(int argc, char** argv) {
   demo.run();
   bed.controller().register_remote(
       {"demo", [&]() { return demo.session->fetch_telemetry_json(demo.pump); },
-       {}});
+       {}, {}, {}});
 
   std::vector<std::string> unreachable;
   telemetry::AggregateTelemetry agg =
