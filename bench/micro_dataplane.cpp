@@ -17,8 +17,10 @@
 //                      datapath shows up, and where the >=5x headline
 //                      per-worker rate is gated.
 //
-//   mode "heap_single"  per-packet std::make_shared + per-packet
-//                       submit(): the PR5 datapath, kept as the A side.
+//   mode "heap_single"  per-packet heap allocation (a zero-capacity
+//                       pool, so every make() takes the heap fallback)
+//                       + per-packet submit(): the datapath before the
+//                       pool, kept as the A side.
 //   mode "pooled_burst" pool-backed make_packet + submit_burst(): the
 //                       PR6 datapath, B side.
 //
@@ -48,6 +50,7 @@
 #include "core/enclave.h"
 #include "hoststack/dataplane.h"
 #include "hoststack/spsc_ring.h"
+#include "netsim/packet_pool.h"
 #include "support/alloc_count.h"
 
 namespace {
@@ -108,14 +111,13 @@ netsim::PacketPtr bench_packet(std::uint64_t i) {
 
 void BM_SpscRing_PushPop(benchmark::State& state) {
   hoststack::SpscRing<netsim::PacketPtr> ring(1024);
-  auto p = netsim::make_packet();
-  netsim::PacketPtr out[64];
+  netsim::PacketPtr packets[64];
+  for (auto& p : packets) p = netsim::make_packet();
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
-      auto q = p;
-      benchmark::DoNotOptimize(ring.push(std::move(q)));
+      benchmark::DoNotOptimize(ring.push(std::move(packets[i])));
     }
-    benchmark::DoNotOptimize(ring.pop_bulk(out, 64));
+    benchmark::DoNotOptimize(ring.pop_bulk(packets, 64));
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
@@ -123,13 +125,11 @@ BENCHMARK(BM_SpscRing_PushPop);
 
 void BM_SpscRing_PushBulkPopBulk(benchmark::State& state) {
   hoststack::SpscRing<netsim::PacketPtr> ring(1024);
-  auto p = netsim::make_packet();
-  netsim::PacketPtr in[64];
-  netsim::PacketPtr out[64];
+  netsim::PacketPtr packets[64];
+  for (auto& p : packets) p = netsim::make_packet();
   for (auto _ : state) {
-    for (int i = 0; i < 64; ++i) in[i] = p;
-    benchmark::DoNotOptimize(ring.push_bulk(in, 64));
-    benchmark::DoNotOptimize(ring.pop_bulk(out, 64));
+    benchmark::DoNotOptimize(ring.push_bulk(packets, 64));
+    benchmark::DoNotOptimize(ring.pop_bulk(packets, 64));
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
@@ -204,8 +204,8 @@ struct SweepRun {
 };
 
 // One sweep run: `pooled_burst` selects the PR6 datapath (pool-backed
-// packets, burst submission); otherwise the PR5 datapath (make_shared,
-// per-packet submit) is replayed as the A side.
+// packets, burst submission); otherwise the pre-pool datapath (per-
+// packet heap allocation, per-packet submit) is replayed as the A side.
 SweepRun run_sweep(const char* action_source, bool pooled_burst,
                    std::size_t workers, std::uint64_t packets) {
   Bed bed(action_source);
@@ -235,8 +235,11 @@ SweepRun run_sweep(const char* action_source, bool pooled_burst,
       }
     }
   } else {
+    netsim::PacketPoolConfig heap_only;
+    heap_only.capacity_slots = 0;
+    netsim::PacketPool heap(heap_only);
     for (std::uint64_t i = 0; i < packets; ++i) {
-      auto p = std::make_shared<netsim::Packet>();
+      auto p = heap.make();
       fill_packet(*p, i);
       while (!dp.submit(p)) dp.drain_completions(sink);
     }
@@ -318,7 +321,7 @@ int run_scaling_sweep(const std::string& json_path) {
     bool pooled_burst;
   };
   const Mode modes[] = {
-      {"heap_single", false},  // PR5 datapath: make_shared + submit()
+      {"heap_single", false},  // pre-pool datapath: heap + submit()
       {"pooled_burst", true},  // PR6 datapath: pool + submit_burst()
   };
 

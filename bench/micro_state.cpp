@@ -384,7 +384,7 @@ ActionRow run_action_latency(std::size_t live_target) {
   constexpr std::size_t kBatch = 64;
   std::vector<netsim::PacketPtr> packets;
   for (std::size_t i = 0; i < kBatch; ++i) {
-    auto p = std::make_shared<netsim::Packet>();
+    auto p = netsim::make_packet();
     p->src = 1;
     p->dst = 2;
     p->src_port = 10000;

@@ -1,7 +1,9 @@
 #include "experiments/fig12_overheads.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <vector>
 
 #include "apps/memcached_stage.h"
 #include "core/enclave.h"
@@ -131,57 +133,72 @@ Fig12Result run_fig12(const Fig12Config& config) {
   // result. We re-classify every kPacketsPerMessage packets.
   constexpr std::uint64_t kPacketsPerMessage = 16;
 
+  // The four layers run interleaved batch by batch, each starting the
+  // rotation in turn, so every layer's samples see the same machine
+  // conditions (frequency ramps, noisy neighbours) instead of one layer
+  // owning an early or late block of the run.
   enum class Layer { vanilla, api, enclave, interpreter };
-  auto measure = [&](Layer layer) {
+  struct LayerRun {
+    Layer layer;
     VanillaPath path;
     util::Percentiles samples;
-    netsim::PacketMeta available;
-    available.msg_size = 64 * 1024;
-    available.flow_size = 64 * 1024;
     core::Classification cls;
     netsim::Packet packet;
+    std::uint64_t sent = 0;  // packets run so far (drives reclassifying)
+  };
+  std::vector<LayerRun> runs(4);
+  runs[0].layer = Layer::vanilla;
+  runs[1].layer = Layer::api;
+  runs[2].layer = Layer::enclave;
+  runs[3].layer = Layer::interpreter;
 
-    const std::uint64_t total = config.warmup_packets + config.packets;
-    std::uint64_t in_batch = 0;
-    Clock::time_point batch_start{};
-    for (std::uint64_t i = 0; i < total; ++i) {
-      const bool measuring = i >= config.warmup_packets;
-      if (measuring && in_batch == 0) batch_start = Clock::now();
-
-      path.prepare(packet);
-      if (layer != Layer::vanilla) {
+  netsim::PacketMeta available;
+  available.msg_size = 64 * 1024;
+  available.flow_size = 64 * 1024;
+  auto run_packets = [&](LayerRun& run, std::uint64_t n) {
+    netsim::Packet& packet = run.packet;
+    for (std::uint64_t k = 0; k < n; ++k, ++run.sent) {
+      run.path.prepare(packet);
+      if (run.layer != Layer::vanilla) {
         // The Eden API: per-message classification, per-packet stamping.
-        if (i % kPacketsPerMessage == 0) {
-          cls = stage.classify(attrs, available);
+        if (run.sent % kPacketsPerMessage == 0) {
+          run.cls = stage.classify(attrs, available);
         }
-        packet.classes = cls.classes;
-        packet.meta = cls.meta;
+        packet.classes = run.cls.classes;
+        packet.meta = run.cls.meta;
         packet.meta.flow_size = available.flow_size;
       }
-      if (layer == Layer::enclave) {
+      if (run.layer == Layer::enclave) {
         native_enclave.process(packet);
-      } else if (layer == Layer::interpreter) {
+      } else if (run.layer == Layer::interpreter) {
         eden_enclave.process(packet);
       }
-      path.consume(packet);
-
-      if (measuring && ++in_batch == config.batch) {
-        const auto elapsed = Clock::now() - batch_start;
-        samples.add(static_cast<double>(
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            elapsed)
-                            .count()) /
-                    static_cast<double>(config.batch));
-        in_batch = 0;
-      }
+      run.path.consume(packet);
     }
-    return summarize(samples);
   };
 
-  result.vanilla = measure(Layer::vanilla);
-  result.api = measure(Layer::api);
-  result.enclave = measure(Layer::enclave);
-  result.interpreter = measure(Layer::interpreter);
+  const std::uint64_t batch = config.batch > 0 ? config.batch : 1;
+  for (std::uint64_t done = 0; done < config.warmup_packets; done += batch) {
+    const std::uint64_t n = std::min(batch, config.warmup_packets - done);
+    for (LayerRun& run : runs) run_packets(run, n);
+  }
+  for (std::uint64_t b = 0; b < config.packets / batch; ++b) {
+    for (std::size_t j = 0; j < runs.size(); ++j) {
+      LayerRun& run = runs[(b + j) % runs.size()];
+      const Clock::time_point batch_start = Clock::now();
+      run_packets(run, batch);
+      const auto elapsed = Clock::now() - batch_start;
+      run.samples.add(
+          static_cast<double>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+                  .count()) /
+          static_cast<double>(batch));
+    }
+  }
+  result.vanilla = summarize(runs[0].samples);
+  result.api = summarize(runs[1].samples);
+  result.enclave = summarize(runs[2].samples);
+  result.interpreter = summarize(runs[3].samples);
 
   auto overhead = [](double with, double without) {
     return without > 0.0 ? (with - without) / without : 0.0;

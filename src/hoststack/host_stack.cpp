@@ -66,11 +66,10 @@ void HostStack::transmit(netsim::PacketPtr packet) {
   }
   if (config_.post_enclave) config_.post_enclave(*packet);
   if (config_.enclave_delay > 0) {
-    network_.scheduler().after(
-        config_.enclave_delay,
-        [this, packet = std::move(packet)]() mutable {
-          forward_to_nic(std::move(packet));
-        });
+    enclave_delayed_.push_back(std::move(packet));
+    network_.scheduler().after(config_.enclave_delay, [this] {
+      forward_to_nic(enclave_delayed_.pop_front());
+    });
     return;
   }
   forward_to_nic(std::move(packet));

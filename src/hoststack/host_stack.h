@@ -22,6 +22,7 @@
 #include "hoststack/dataplane.h"
 #include "hoststack/nic.h"
 #include "netsim/network.h"
+#include "netsim/ring_fifo.h"
 #include "transport/tcp.h"
 
 namespace eden::hoststack {
@@ -155,6 +156,10 @@ class HostStack {
   bool dataplane_poll_armed_ = false;
   // pump_dataplane burst staging; keeps its capacity across pumps.
   std::vector<netsim::PacketPtr> completions_scratch_;
+  // Packets waiting out config_.enclave_delay, oldest first: every
+  // packet waits the same delay, so they leave in arrival order and the
+  // delay event captures only `this`.
+  netsim::RingFifo<netsim::PacketPtr> enclave_delayed_;
 };
 
 }  // namespace eden::hoststack

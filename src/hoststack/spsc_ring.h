@@ -40,8 +40,7 @@ class SpscRing {
 
   // Producer side, burst variant: moves up to `count` items from
   // `items` into the ring under ONE release store, returning how many
-  // fit. Consumed sources are reset to T{} so the caller's buffer holds
-  // no stale owners; items beyond the returned count are untouched.
+  // fit; items beyond the returned count are untouched.
   std::size_t push_bulk(T* items, std::size_t count) {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
     const std::size_t free_slots =
@@ -49,25 +48,20 @@ class SpscRing {
     const std::size_t n = free_slots < count ? free_slots : count;
     for (std::size_t i = 0; i < n; ++i) {
       slots_[(tail + i) & mask_] = std::move(items[i]);
-      items[i] = T{};
     }
     if (n != 0) tail_.store(tail + n, std::memory_order_release);
     return n;
   }
 
   // Consumer side: moves up to `max` items into `out`; returns how
-  // many. Drained slots are reset to T{} — a moved-from shared_ptr is
-  // not guaranteed empty, and a stale owner parked in the ring would
-  // pin a pooled buffer until the slot happens to be overwritten.
+  // many.
   std::size_t pop_bulk(T* out, std::size_t max) {
     const std::size_t head = head_.load(std::memory_order_relaxed);
     const std::size_t avail =
         tail_.load(std::memory_order_acquire) - head;
     const std::size_t n = avail < max ? avail : max;
     for (std::size_t i = 0; i < n; ++i) {
-      T& slot = slots_[(head + i) & mask_];
-      out[i] = std::move(slot);
-      slot = T{};
+      out[i] = std::move(slots_[(head + i) & mask_]);
     }
     if (n != 0) head_.store(head + n, std::memory_order_release);
     return n;

@@ -61,8 +61,7 @@ void TokenBucket::drain() {
         cost < burst_bytes_ ? cost : burst_bytes_);
     if (tokens_ < required) break;
     tokens_ -= static_cast<double>(cost);
-    Queued q = std::move(backlog_.front());
-    backlog_.pop_front();
+    Queued q = backlog_.pop_front();
     ++released_packets_;
     released_bytes_ += q.packet->size_bytes;
     if (q.packet->meta.trace_id != 0) {

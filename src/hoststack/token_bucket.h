@@ -6,11 +6,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "netsim/event_queue.h"
 #include "netsim/packet.h"
+#include "netsim/ring_fifo.h"
 
 namespace eden::hoststack {
 
@@ -61,7 +61,7 @@ class TokenBucket {
 
   double tokens_;  // bytes
   netsim::SimTime last_refill_ = 0;
-  std::deque<Queued> backlog_;
+  netsim::RingFifo<Queued> backlog_;
   netsim::EventId pending_drain_ = netsim::kInvalidEvent;
   std::uint64_t released_packets_ = 0;
   std::uint64_t released_bytes_ = 0;

@@ -3,12 +3,16 @@
 // Events are closures ordered by (time, insertion sequence); ties fire in
 // scheduling order, which keeps runs deterministic. Cancellation is
 // cooperative: cancel() marks the event and the dispatcher skips it.
+// An event id is (generation << 32) | slot: each queued event holds a
+// slot, and firing or cancelling it bumps the slot's generation and
+// frees the slot for reuse, so a stale id never matches again and
+// scheduling allocates nothing once the slot table and heap are warm.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "netsim/sim_time.h"
@@ -20,14 +24,16 @@ inline constexpr EventId kInvalidEvent = 0;
 
 class Scheduler {
  public:
-  SimTime now() const { return now_; }
+  // Safe to read from any thread: data-plane workers stamp enclave
+  // state with the simulator clock while the simulator thread runs.
+  SimTime now() const { return now_.load(std::memory_order_relaxed); }
 
   // Schedules `fn` at absolute time `when` (clamped to now). Returns an
   // id usable with cancel().
   EventId at(SimTime when, std::function<void()> fn);
   // Schedules `fn` `delay` nanoseconds from now.
   EventId after(SimTime delay, std::function<void()> fn) {
-    return at(now_ + delay, std::move(fn));
+    return at(now() + delay, std::move(fn));
   }
 
   // Marks an event so it will not fire. Safe to call with an id that
@@ -46,25 +52,35 @@ class Scheduler {
  private:
   struct Event {
     SimTime when;
+    std::uint64_t seq;  // FIFO tiebreak among simultaneous events
     EventId id;
     std::function<void()> fn;
     bool operator>(const Event& other) const {
       if (when != other.when) return when > other.when;
-      return id > other.id;  // FIFO among simultaneous events
+      return seq > other.seq;
     }
   };
 
+  bool live(EventId id) const {
+    const std::uint64_t slot = id & 0xffffffffu;
+    return slot < generations_.size() &&
+           generations_[slot] == static_cast<std::uint32_t>(id >> 32);
+  }
+  // Retires a live id: bumps its slot's generation and frees the slot.
+  void retire(EventId id);
   bool pop_one();
 
-  SimTime now_ = 0;
-  EventId next_id_ = 1;
+  // Written only by the simulator thread; relaxed, because readers on
+  // other threads need a recent value, not an ordering.
+  std::atomic<SimTime> now_{0};
+  std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t live_events_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  // Ids currently in the queue and not cancelled. Cancellation is lazy:
-  // cancel() removes the id here; the dispatcher skips events whose id is
-  // no longer pending.
-  std::unordered_set<EventId> pending_;
+  // Current generation of each slot (never 0, so no id equals
+  // kInvalidEvent) and the slots free for reuse.
+  std::vector<std::uint32_t> generations_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace eden::netsim

@@ -15,22 +15,23 @@ void Port::start_transmission() {
   const SimTime tx = transmit_time(packet->size_bytes, rate_bps_);
   ++tx_packets_;
   tx_bytes_ += packet->size_bytes;
-
-  // When serialization completes, the packet departs onto the wire (its
-  // arrival is a separate event after the propagation delay) and the
-  // transmitter picks up the next queued packet.
-  scheduler_.after(tx, [this, packet = std::move(packet)]() mutable {
-    Node* peer = peer_;
-    const int in_port = peer_in_port_;
-    if (peer != nullptr) {
-      scheduler_.after(prop_delay_,
-                       [peer, in_port, packet = std::move(packet)]() mutable {
-                         peer->receive(std::move(packet), in_port);
-                       });
-    }
-    busy_ = false;
-    start_transmission();
-  });
+  wire_.push_back(std::move(packet));
+  scheduler_.after(tx, [this] { finish_transmission(); });
 }
+
+// Serialization complete: the packet departs onto the wire (its arrival
+// is a separate event after the propagation delay) and the transmitter
+// picks up the next queued packet.
+void Port::finish_transmission() {
+  if (peer_ != nullptr) {
+    scheduler_.after(prop_delay_, [this] { arrive(); });
+  } else {
+    wire_.pop_front();  // nothing attached: the packet is lost
+  }
+  busy_ = false;
+  start_transmission();
+}
+
+void Port::arrive() { peer_->receive(wire_.pop_front(), peer_in_port_); }
 
 }  // namespace eden::netsim

@@ -4,6 +4,12 @@
 // priority output queue, a serializing transmitter (one packet at a time
 // at the line rate) and a propagation delay to the peer. Bidirectional
 // links are two ports, one on each node.
+//
+// The port owns every packet it has started to send: the packets on the
+// wire wait in a FIFO and the scheduler events capture only the port.
+// Serialization is one packet at a time, the propagation delay is fixed
+// and simultaneous events fire in scheduling order, so packets always
+// arrive in the order they were put on the wire.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +20,7 @@
 #include "netsim/event_queue.h"
 #include "netsim/packet.h"
 #include "netsim/queue.h"
+#include "netsim/ring_fifo.h"
 
 namespace eden::netsim {
 
@@ -50,11 +57,16 @@ class Port {
 
  private:
   void start_transmission();
+  void finish_transmission();
+  void arrive();
 
   Scheduler& scheduler_;
   std::uint64_t rate_bps_;
   SimTime prop_delay_;
   PriorityQueueSet queue_;
+  // Packets propagating to the peer, oldest first, then (while busy_)
+  // the packet being serialized.
+  RingFifo<PacketPtr> wire_;
   bool busy_ = false;
   Node* peer_ = nullptr;
   int peer_in_port_ = -1;

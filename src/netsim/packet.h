@@ -103,16 +103,20 @@ struct Packet {
   std::uint64_t debug_id = 0;
 };
 
-// shared_ptr rather than unique_ptr: packets are captured by scheduler
-// closures (std::function requires copyable callables). Ownership is
-// still handed off linearly through the network.
-using PacketPtr = std::shared_ptr<Packet>;
+// Single-owner handle, the same model as a DPDK mbuf: every hop hands
+// the packet on by moving it, and the compiler rejects a copy. The
+// deleter (defined in packet_pool.cpp) runs ~Packet and returns the
+// pool slot the packet was built in, or frees a heap-fallback packet.
+struct PacketRelease {
+  void operator()(Packet* packet) const noexcept;
+};
+using PacketPtr = std::unique_ptr<Packet, PacketRelease>;
 
 // Defined in packet_pool.cpp: packets come from the process-wide packet
-// pool arena (control block and Packet share one pooled slot), so
-// steady-state alloc/free never touches the global heap. make_packet
-// falls back to the heap if the arena is dry; try_make_packet returns
-// nullptr instead, for data-path producers that drop-and-count.
+// pool arena, so steady-state alloc/free never touches the global heap.
+// make_packet falls back to the heap if the arena is dry;
+// try_make_packet returns nullptr instead, for data-path producers that
+// drop-and-count.
 PacketPtr make_packet();
 PacketPtr try_make_packet();
 

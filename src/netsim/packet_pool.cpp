@@ -1,18 +1,18 @@
 #include "netsim/packet_pool.h"
 
 #include <atomic>
-#include <cassert>
-#include <cstdlib>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <new>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 namespace eden::netsim {
 namespace {
 
-// Pool registry: release_slot and magazine flushes key pools by id
+// Pool registry: slot releases and magazine flushes key pools by id
 // (monotonic, never reused) instead of by pointer, so a release that
 // outlives its PacketPool object still finds the right arena. A pool
 // destroyed while slots are still out (live PacketPtrs, thread-local
@@ -239,8 +239,7 @@ PacketPool::Magazine::~Magazine() {
   }
 }
 
-PacketPool::PacketPool(PacketPoolConfig config)
-    : config_(config), id_(next_pool_id()) {
+PacketPool::PacketPool(PacketPoolConfig config) : config_(config) {
   if (config_.slab_slots == 0) config_.slab_slots = 1;
   if (config_.magazine_slots == 0) config_.magazine_slots = 1;
   if (config_.slab_slots > config_.capacity_slots) {
@@ -248,10 +247,10 @@ PacketPool::PacketPool(PacketPoolConfig config)
   }
   impl_ = new Impl();
   impl_->config = config_;
-  impl_->id = id_;
+  impl_->id = next_pool_id();
   auto& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mu);
-  reg.live.emplace(id_, impl_);
+  reg.live.emplace(impl_->id, impl_);
 }
 
 PacketPool::~PacketPool() {
@@ -278,18 +277,31 @@ PacketPool::~PacketPool() {
     }
   }
   if (dead) {
-    reg.live.erase(id_);
+    reg.live.erase(impl_->id);
     delete impl_;
   }
 }
 
-void* PacketPool::acquire_slot() {
+namespace {
+
+// A pool slot: the Packet first, so a Packet* converts back to its
+// slot, then the id of the owning pool (0 = heap fallback).
+struct alignas(PacketPool::kSlotAlign) Slot {
+  Packet packet;
+  std::uint64_t pool_id = 0;
+};
+static_assert(sizeof(Slot) == PacketPool::kSlotBytes,
+              "Packet outgrew its pool slot; bump kSlotBytes");
+static_assert(std::is_standard_layout_v<Slot> && offsetof(Slot, packet) == 0,
+              "Slot must be pointer-interconvertible with its Packet");
+
+void* acquire_slot(PacketPool::Impl* impl) {
   auto& set = thread_magazines();
-  Magazine* mag = set.find(id_);
-  if (mag == nullptr) mag = set.create(id_);
+  PacketPool::Magazine* mag = set.find(impl->id);
+  if (mag == nullptr) mag = set.create(impl->id);
   if (mag == nullptr) return nullptr;  // pool already dead
-  if (mag->slots.empty() && impl_->refill(*mag) == 0) {
-    impl_->exhausted_total.fetch_add(1, std::memory_order_relaxed);
+  if (mag->slots.empty() && impl->refill(*mag) == 0) {
+    impl->exhausted_total.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
   void* slot = mag->slots.back();
@@ -298,9 +310,9 @@ void* PacketPool::acquire_slot() {
   return slot;
 }
 
-void PacketPool::release_slot(std::uint64_t pool_id, void* slot) noexcept {
+void release_slot(std::uint64_t pool_id, void* slot) noexcept {
   auto& set = thread_magazines();
-  Magazine* mag = set.find(pool_id);
+  PacketPool::Magazine* mag = set.find(pool_id);
   if (mag == nullptr) {
     mag = set.create(pool_id);
     if (mag == nullptr) {
@@ -336,63 +348,29 @@ void PacketPool::release_slot(std::uint64_t pool_id, void* slot) noexcept {
   }
 }
 
-namespace {
-
-// Allocator handed to std::allocate_shared: one pool slot per packet,
-// holding the control block and the Packet together. allocate() runs
-// only while the pool is alive (packet creation); deallocate() may run
-// on any thread at any later time and goes through the id-keyed static
-// release path.
-template <typename T>
-struct PoolAllocator {
-  using value_type = T;
-
-  PacketPool* pool;
-  std::uint64_t pool_id;
-
-  PoolAllocator(PacketPool* p, std::uint64_t id) : pool(p), pool_id(id) {}
-  template <typename U>
-  PoolAllocator(const PoolAllocator<U>& other)
-      : pool(other.pool), pool_id(other.pool_id) {}
-
-  T* allocate(std::size_t n) {
-    static_assert(sizeof(T) <= PacketPool::kSlotBytes,
-                  "pool slot too small for shared_ptr node; bump kSlotBytes");
-    static_assert(alignof(T) <= PacketPool::kSlotAlign,
-                  "pool slot under-aligned for shared_ptr node");
-    if (n != 1) throw std::bad_alloc();
-    void* slot = pool->acquire_slot();
-    if (slot == nullptr) throw std::bad_alloc();
-    return static_cast<T*>(slot);
-  }
-
-  void deallocate(T* p, std::size_t) noexcept {
-    PacketPool::release_slot(pool_id, p);
-  }
-
-  template <typename U>
-  bool operator==(const PoolAllocator<U>& other) const {
-    return pool_id == other.pool_id;
-  }
-};
-
 }  // namespace
 
-PacketPtr PacketPool::make() {
-  try {
-    return std::allocate_shared<Packet>(PoolAllocator<Packet>(this, id_));
-  } catch (const std::bad_alloc&) {
-    impl_->heap_fallback_total.fetch_add(1, std::memory_order_relaxed);
-    return std::make_shared<Packet>();
+void PacketRelease::operator()(Packet* packet) const noexcept {
+  Slot* slot = reinterpret_cast<Slot*>(packet);
+  const std::uint64_t pool_id = slot->pool_id;
+  if (pool_id == 0) {
+    delete slot;
+    return;
   }
+  slot->~Slot();
+  release_slot(pool_id, slot);
+}
+
+PacketPtr PacketPool::make() {
+  if (PacketPtr packet = try_make()) return packet;
+  impl_->heap_fallback_total.fetch_add(1, std::memory_order_relaxed);
+  return PacketPtr(&(new Slot{})->packet);
 }
 
 PacketPtr PacketPool::try_make() {
-  try {
-    return std::allocate_shared<Packet>(PoolAllocator<Packet>(this, id_));
-  } catch (const std::bad_alloc&) {
-    return nullptr;
-  }
+  void* raw = acquire_slot(impl_);
+  if (raw == nullptr) return nullptr;
+  return PacketPtr(&(::new (raw) Slot{Packet{}, impl_->id})->packet);
 }
 
 PacketPoolStats PacketPool::stats() const {

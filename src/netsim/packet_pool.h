@@ -3,16 +3,14 @@
 // touch the global heap.
 //
 // Eden's enclave sits on every packet's path (Section 3.4); at multi-
-// core NIC rates a per-packet std::make_shared — one heap round-trip
+// core NIC rates a per-packet heap allocation — one heap round-trip
 // plus allocator lock traffic per packet — is the first thing that has
 // to go (the same conclusion DPDK-style stacks reached with mbuf
-// pools). The design here keeps the *type* unchanged: `PacketPtr` is
-// still std::shared_ptr<Packet>, built by std::allocate_shared over a
-// pool allocator, so the control block and the Packet live together in
-// one pooled slot and every existing call site keeps compiling. The
-// completion path needs no special handling either — whichever thread
-// drops the last reference runs the pooled deallocate, which returns
-// the slot to that thread's magazine.
+// pools). A slot holds the Packet plus the id of the pool it came from
+// (0 for a heap fallback); `PacketPtr` is a single-owner handle whose
+// stateless deleter reads that id, so the completion path needs no
+// special handling — whichever thread drops the packet runs ~Packet and
+// returns the slot to that thread's magazine.
 //
 // Ownership model:
 //  * the pool owns slabs (64-byte-aligned arrays of kSlotBytes slots),
@@ -65,10 +63,9 @@ struct PacketPoolStats {
 
 class PacketPool {
  public:
-  // One slot holds the shared_ptr control block plus the Packet
-  // (statically asserted at the allocate call); 384 = 6 cache lines,
-  // so slots never share a line.
-  static constexpr std::size_t kSlotBytes = 384;
+  // One slot holds the Packet plus its pool id (statically asserted in
+  // packet_pool.cpp); 192 = 3 cache lines, so slots never share a line.
+  static constexpr std::size_t kSlotBytes = 192;
   static constexpr std::size_t kSlotAlign = 64;
 
   explicit PacketPool(PacketPoolConfig config = {});
@@ -76,8 +73,8 @@ class PacketPool {
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
 
-  // Pooled packet; falls back to a plain heap make_shared when the
-  // arena is dry (counted in heap_fallback_total), so it never fails.
+  // Pooled packet; falls back to a heap-allocated slot when the arena
+  // is dry (counted in heap_fallback_total), so it never fails.
   PacketPtr make();
   // Pooled packet or nullptr when the arena is dry (counted in
   // exhausted_total). Data-path producers use this to drop-and-count
@@ -87,11 +84,6 @@ class PacketPool {
   PacketPoolStats stats() const;
   const PacketPoolConfig& config() const { return config_; }
 
-  // --- Slot plumbing (used by the allocator; not a user API) ------------
-  void* acquire_slot();  // nullptr when dry
-  static void release_slot(std::uint64_t pool_id, void* slot) noexcept;
-  std::uint64_t id() const { return id_; }
-
   // Defined in packet_pool.cpp; public so the thread-local magazine set
   // can name them, but opaque to everyone else.
   struct Magazine;
@@ -100,7 +92,6 @@ class PacketPool {
  private:
   Impl* impl_;
   PacketPoolConfig config_;
-  std::uint64_t id_;
 };
 
 // The process-wide pool behind make_packet()/try_make_packet().

@@ -24,8 +24,7 @@ PacketPtr PriorityQueueSet::dequeue() {
   for (int prio = kMaxPriorities - 1; prio >= 0; --prio) {
     auto& q = queues_[static_cast<std::size_t>(prio)];
     if (q.empty()) continue;
-    PacketPtr packet = std::move(q.front());
-    q.pop_front();
+    PacketPtr packet = q.pop_front();
     bytes_[static_cast<std::size_t>(prio)] -= packet->size_bytes;
     total_bytes_ -= packet->size_bytes;
     --total_packets_;

@@ -5,9 +5,9 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 
 #include "netsim/packet.h"
+#include "netsim/ring_fifo.h"
 
 namespace eden::netsim {
 
@@ -49,7 +49,7 @@ class PriorityQueueSet {
 
  private:
   QueueConfig config_;
-  std::array<std::deque<PacketPtr>, kMaxPriorities> queues_;
+  std::array<RingFifo<PacketPtr>, kMaxPriorities> queues_;
   std::array<std::uint64_t, kMaxPriorities> bytes_{};
   std::uint64_t total_bytes_ = 0;
   std::size_t total_packets_ = 0;

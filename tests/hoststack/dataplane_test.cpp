@@ -107,10 +107,10 @@ TEST(SpscRingTest, PushBulkPartialOnNearlyFullRing) {
 }
 
 TEST(SpscRingTest, DrainedSlotsReleaseOwnership) {
-  // The destructor-hygiene bug this pins down: a moved-from shared_ptr
-  // parked in a ring slot may still own its object, silently keeping a
-  // pooled buffer alive until the slot is overwritten. Both bulk paths
-  // must reset the slots they vacate.
+  // The destructor-hygiene bug this pins down: an owner left behind in
+  // a vacated ring slot (or a pushed source) would keep a pooled buffer
+  // alive until the slot is overwritten. Both bulk paths move, and a
+  // moved-from smart pointer is empty, so neither keeps an owner.
   SpscRing<std::shared_ptr<int>> ring(8);
   auto tracked = std::make_shared<int>(7);
   std::weak_ptr<int> watch = tracked;

@@ -15,6 +15,7 @@
 #include "core/controller.h"
 #include "core/enclave.h"
 #include "hoststack/dataplane.h"
+#include "netsim/network.h"
 #include "netsim/packet_pool.h"
 #include "support/alloc_count.h"
 
@@ -75,6 +76,42 @@ TEST_F(ZeroAllocTest, PooledPacketLifecycleIsAllocFree) {
   }
   EXPECT_EQ(news, 0u) << "pooled make/release touched the heap";
   EXPECT_EQ(pool.stats().heap_fallback_total, 0u);
+}
+
+TEST_F(ZeroAllocTest, NetsimLinkHopIsAllocFree) {
+  // Simulator side: a packet crossing a link is an output-queue hop, a
+  // serialization event and an arrival event. None of them may touch
+  // the heap once the event heap, the slot table and the port FIFOs
+  // have grown to the traffic's depth.
+  netsim::Network net;
+  auto& a = net.add_host("a");
+  auto& b = net.add_host("b");
+  net.connect(a, b, 10ULL * 1000 * 1000 * 1000, 1000);
+  std::uint64_t delivered = 0;
+  b.set_deliver([&](netsim::PacketPtr) { ++delivered; });
+
+  const auto run_window = [&](int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      for (int i = 0; i < 16; ++i) {
+        auto p = netsim::make_packet();
+        fill(*p, i + 1);
+        p->src = a.id();
+        p->dst = b.id();
+        a.transmit(std::move(p));
+      }
+      net.scheduler().run();
+    }
+  };
+
+  run_window(64);
+  std::uint64_t news = 0;
+  {
+    testsupport::AllocGate gate;
+    run_window(1000);
+    news = gate.news();
+  }
+  EXPECT_EQ(news, 0u) << "a warm link hop allocated";
+  EXPECT_EQ(delivered, 16u * (64 + 1000));
 }
 
 TEST_F(ZeroAllocTest, ProcessBatchSteadyStateIsAllocFree) {

@@ -67,6 +67,24 @@ TEST(Scheduler, CancelIsIdempotentAndSafeAfterFire) {
   EXPECT_EQ(fires, 1);
 }
 
+TEST(Scheduler, StaleIdAfterSlotReuseIsNoOp) {
+  // Ids are (generation, slot) pairs and a cancelled event's slot is
+  // recycled: the stale id of A must not cancel B, which now holds it.
+  Scheduler sched;
+  bool a_fired = false;
+  bool b_fired = false;
+  const EventId a = sched.at(10, [&] { a_fired = true; });
+  sched.cancel(a);
+  const EventId b = sched.at(10, [&] { b_fired = true; });
+  EXPECT_EQ(a & 0xffffffffu, b & 0xffffffffu) << "B did not reuse A's slot";
+  EXPECT_NE(a, b);
+  sched.cancel(a);
+  EXPECT_FALSE(sched.empty());
+  sched.run();
+  EXPECT_FALSE(a_fired);
+  EXPECT_TRUE(b_fired);
+}
+
 TEST(Scheduler, RunUntilStopsAtHorizon) {
   Scheduler sched;
   std::vector<int> order;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace eden::netsim {
@@ -17,6 +18,12 @@ PacketPoolConfig small_pool(std::size_t capacity, std::size_t magazine = 4) {
   c.magazine_slots = magazine;
   return c;
 }
+
+// Single ownership is enforced by the type: any hidden sharing of a
+// packet is a compile error, and the handle is one pointer wide.
+static_assert(!std::is_copy_constructible_v<PacketPtr>);
+static_assert(!std::is_copy_assignable_v<PacketPtr>);
+static_assert(sizeof(PacketPtr) == sizeof(Packet*));
 
 TEST(PacketPool, MakeProducesFreshPackets) {
   PacketPool pool(small_pool(16));
@@ -96,7 +103,7 @@ TEST(PacketPool, StatsTrackInUseAcrossMagazines) {
 }
 
 TEST(PacketPool, CrossThreadReleaseRecyclesSlots) {
-  // Producer allocates, consumer thread drops the last reference — the
+  // Producer allocates, consumer thread drops the packets — the
   // DataPlane's actual topology. The slots must flow back and keep the
   // arena serviceable well past its capacity in total packets.
   PacketPool pool(small_pool(32, 4));
