@@ -143,7 +143,7 @@ BENCHMARK(BM_ControlPlane_RepointBatchedTxn)->Arg(8)->Arg(64);
 void BM_ControlPlane_RepointBatchedTxnTraced(benchmark::State& state) {
   const auto rules = static_cast<std::size_t>(state.range(0));
   telemetry::SpanCollector::instance().reset();
-  telemetry::SpanCollector::instance().enable(128, 1 << 15);
+  telemetry::SpanCollector::instance().enable(128);
   Bed bed;
   bed.session->install_action("pa", bed.priority_program("pa", 3), {});
   bed.session->install_action("pb", bed.priority_program("pb", 5), {});
@@ -278,7 +278,7 @@ int run_acceptance_sweep(const std::string& json_path) {
     if (r == 0 || t < off_ns) off_ns = t;
   }
 
-  telemetry::SpanCollector::instance().enable(128, 1 << 15);
+  telemetry::SpanCollector::instance().enable(128);
   double on_ns = 0;
   for (int r = 0; r < reps; ++r) {
     const double t = time_batched_repoint(rules, txns);

@@ -214,36 +214,45 @@ SweepRun run_sweep(const char* action_source, bool pooled_burst,
   config.ring_capacity = 1024;
   hoststack::DataPlane dp(bed.enclave, config);
   const auto sink = [](netsim::PacketPtr) {};
+  constexpr std::size_t kBurst = 64;
+  netsim::PacketPoolConfig heap_only;
+  heap_only.capacity_slots = 0;
+  netsim::PacketPool heap(heap_only);
+  const auto send = [&](std::uint64_t count) {
+    if (pooled_burst) {
+      std::vector<netsim::PacketPtr> burst(kBurst);
+      std::uint64_t seq = 0;
+      while (seq < count) {
+        std::size_t filled = 0;
+        while (filled < kBurst && seq < count) {
+          burst[filled] = netsim::make_packet();
+          fill_packet(*burst[filled], seq++);
+          ++filled;
+        }
+        std::size_t sent = 0;
+        while (sent < filled) {
+          sent += dp.submit_burst(std::span(burst.data(), filled));
+          if (sent < filled) dp.drain_completions(sink);
+        }
+      }
+    } else {
+      for (std::uint64_t i = 0; i < count; ++i) {
+        auto p = heap.make();
+        fill_packet(*p, i);
+        while (!dp.submit(p)) dp.drain_completions(sink);
+      }
+    }
+  };
+
+  // One warm-up burst builds every worker's lazy state (enclave thread
+  // state, magazines, ring scratch) outside the window, so the window
+  // counts steady-state allocations only.
+  send(kBurst);
+  dp.flush(sink);
 
   const auto allocs0 = testsupport::alloc_counts();
   const auto t0 = std::chrono::steady_clock::now();
-  if (pooled_burst) {
-    constexpr std::size_t kBurst = 64;
-    std::vector<netsim::PacketPtr> burst(kBurst);
-    std::uint64_t seq = 0;
-    while (seq < packets) {
-      std::size_t filled = 0;
-      while (filled < kBurst && seq < packets) {
-        burst[filled] = netsim::make_packet();
-        fill_packet(*burst[filled], seq++);
-        ++filled;
-      }
-      std::size_t sent = 0;
-      while (sent < filled) {
-        sent += dp.submit_burst(std::span(burst.data(), filled));
-        if (sent < filled) dp.drain_completions(sink);
-      }
-    }
-  } else {
-    netsim::PacketPoolConfig heap_only;
-    heap_only.capacity_slots = 0;
-    netsim::PacketPool heap(heap_only);
-    for (std::uint64_t i = 0; i < packets; ++i) {
-      auto p = heap.make();
-      fill_packet(*p, i);
-      while (!dp.submit(p)) dp.drain_completions(sink);
-    }
-  }
+  send(packets);
   dp.flush(sink);
   const auto t1 = std::chrono::steady_clock::now();
   const auto allocs1 = testsupport::alloc_counts();

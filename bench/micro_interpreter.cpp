@@ -343,6 +343,9 @@ int run_table1_sweep(const std::string& json_path,
     core::EnclaveConfig ec_tele;
     ec_tele.telemetry.enabled = true;
     ec_tele.telemetry.trace_sample_every = 64;
+    // The committed TELEMETRY_interpreter.json holds every function's
+    // trace; a few records each show the format without bloating it.
+    ec_tele.telemetry.trace_capacity = 8;
     // Third variant: counters/histograms off, lifecycle span tracing on
     // at the production 1-in-128 rate — isolates the span cost from the
     // PR 2 instruments. Acceptance target: <5% geomean overhead.

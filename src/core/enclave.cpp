@@ -58,6 +58,18 @@ struct Enclave::Txn {
 
 namespace detail {
 
+// One sampled action execution: timestamp, the packet's class, the
+// action, the metadata the stage attached (Table 2), the execution
+// status and the weighted step count.
+struct TraceRecord {
+  std::int64_t ts_ns = 0;                // enclave clock (sim time if injected)
+  std::uint32_t class_id = kInvalidClass;
+  std::uint32_t action_id = 0;
+  std::uint8_t status = 0;               // lang::ExecStatus value
+  std::uint64_t steps = 0;               // weighted interpreter steps
+  netsim::PacketMeta meta;               // metadata snapshot at execution
+};
+
 // Per-thread execution resources for one enclave instance: the
 // interpreter (operand stack, heap, rng) plus a scratch packet-scope
 // state block. Reused across packets so the steady-state data path does
@@ -69,9 +81,11 @@ struct ThreadState {
   lang::StateBlock message_checkpoint;  // last good state within a batch
   util::Rng rng;
   // Per-thread trace and histogram pacing (1-in-N executions); plain
-  // countdowns here are cheaper than the ring's shared atomic ticket or
-  // a thread_local on the per-packet path — ThreadState is already hot.
+  // countdowns here are cheaper than a shared atomic ticket or a
+  // thread_local on the per-packet path — ThreadState is already hot.
   std::uint32_t trace_countdown = 1;
+  // This thread's lane in the enclave's trace, claimed on first record.
+  telemetry::EventLanes<TraceRecord>::Claim trace_lane;
   std::uint32_t hist_countdown = 1;
   // Paces the data path's opportunistic timer-wheel advance (idle
   // expiry + epoch reclaim) to one sweep per ~kExpiryPacePackets
@@ -284,9 +298,8 @@ Enclave::Enclave(std::string name, ClassRegistry& registry,
           config_.telemetry.max_classes + 2);
     }
     if (config_.telemetry.trace_sample_every > 0) {
-      trace_ = std::make_unique<telemetry::TraceRing>(
-          config_.telemetry.trace_capacity,
-          config_.telemetry.trace_sample_every);
+      trace_ = std::make_unique<telemetry::EventLanes<detail::TraceRecord>>(
+          config_.telemetry.trace_capacity);
     }
     // Calibrate the latency tick clock now, not inside a timed region.
     if (config_.telemetry.histograms) telemetry::warm_clock();
@@ -1106,7 +1119,7 @@ void Enclave::run_action_batch(detail::ThreadState& ts,
   const std::uint32_t hist_every =
       entry.latency_hist != nullptr ? config_.telemetry.histogram_sample_every
                                     : 0;
-  telemetry::TraceRing* ring = trace_.get();
+  telemetry::EventLanes<detail::TraceRecord>* trace = trace_.get();
 
   for (std::size_t pi = 0; pi < packets.size(); ++pi) {
     netsim::Packet* packet = packets[pi];
@@ -1151,9 +1164,9 @@ void Enclave::run_action_batch(detail::ThreadState& ts,
     }
     entry.counters.executions.fetch_add(1, std::memory_order_relaxed);
 
-    if (ring != nullptr && --ts.trace_countdown == 0) {
-      ts.trace_countdown = ring->sample_every();
-      telemetry::TraceRecord rec;
+    if (trace != nullptr && --ts.trace_countdown == 0) {
+      ts.trace_countdown = config_.telemetry.trace_sample_every;
+      detail::TraceRecord rec;
       rec.ts_ns = clock_fn_ != nullptr
                       ? clock_fn_(clock_ctx_)
                       : static_cast<std::int64_t>(
@@ -1164,7 +1177,7 @@ void Enclave::run_action_batch(detail::ThreadState& ts,
       rec.status = static_cast<std::uint8_t>(status);
       rec.steps = steps;
       rec.meta = packet->meta;
-      ring->push(rec);
+      trace->push(ts.trace_lane, rec);
     }
 
     if (status != lang::ExecStatus::ok) {
@@ -1346,8 +1359,15 @@ telemetry::EnclaveTelemetry Enclave::telemetry_snapshot() const {
 
   if (trace_ != nullptr) {
     t.trace_sampled = trace_->total_recorded();
-    t.trace_sample_every = trace_->sample_every();
-    for (const telemetry::TraceRecord& r : trace_->snapshot()) {
+    t.trace_sample_every = config_.telemetry.trace_sample_every;
+    std::vector<detail::TraceRecord> records = trace_->snapshot(
+        [](const detail::TraceRecord& a, const detail::TraceRecord& b) {
+          return a.ts_ns < b.ts_ns;
+        });
+    // Keep the newest trace_capacity records of the merged lanes.
+    const std::size_t keep = std::min(records.size(), trace_->capacity());
+    for (const detail::TraceRecord& r :
+         std::span(records).subspan(records.size() - keep)) {
       telemetry::TraceEntry e;
       e.ts_ns = r.ts_ns;
       e.class_name = class_display_name(r.class_id);

@@ -36,17 +36,18 @@
 #include "core/enclave_schema.h"
 #include "lang/interpreter.h"
 #include "state/flow_store.h"
+#include "telemetry/event_lanes.h"
 #include "telemetry/metrics.h"
 #include "telemetry/profile.h"
 #include "telemetry/snapshot.h"
 #include "telemetry/span.h"
-#include "telemetry/trace_ring.h"
 #include "util/rng.h"
 
 namespace eden::core {
 
 namespace detail {
 struct ThreadState;  // per-thread execution resources (enclave.cpp)
+struct TraceRecord;  // one sampled action execution (enclave.cpp)
 }
 
 using ActionId = std::uint32_t;
@@ -112,7 +113,7 @@ struct TelemetryConfig {
   bool histograms = true;
   std::uint32_t histogram_sample_every = 64;
   // Sampling packet trace: record one in `trace_sample_every` action
-  // executions into a bounded ring (0 = tracing off).
+  // executions, keeping the newest `trace_capacity` (0 = tracing off).
   std::uint32_t trace_sample_every = 0;
   std::size_t trace_capacity = 1024;
   // Cross-layer lifecycle span tracing (telemetry/span.h): a non-zero
@@ -532,7 +533,9 @@ class Enclave {
   // overflow slot.
   std::unique_ptr<ClassCounters[]> class_counters_;
   telemetry::MetricsRegistry metrics_;
-  std::unique_ptr<telemetry::TraceRing> trace_;
+  // Sampled action trace, one lane per recording thread; allocated in
+  // the constructor when config.telemetry.trace_sample_every > 0.
+  std::unique_ptr<telemetry::EventLanes<detail::TraceRecord>> trace_;
 };
 
 // Number of per-enclave ThreadState blocks the calling thread currently

@@ -23,10 +23,9 @@ HostStack::HostStack(netsim::Network& network, netsim::HostNode& host,
       config_(config),
       nic_(network.scheduler(), host) {
   enclave_.set_clock(&scheduler_clock, &network_.scheduler());
-  // Lifecycle spans carry simulator timestamps, same as every other
-  // clock consumer in a testbed.
-  telemetry::SpanCollector::instance().set_clock(&scheduler_clock,
-                                                 &network_.scheduler());
+  // Spans and flight events carry simulator timestamps, same as every
+  // other clock consumer in a testbed.
+  telemetry::set_event_clock(&scheduler_clock, &network_.scheduler());
   host_.set_deliver([this](netsim::PacketPtr p) { deliver(std::move(p)); });
   if (config_.dataplane.workers > 0) {
     dataplane_ = std::make_unique<DataPlane>(enclave_, config_.dataplane);
@@ -41,6 +40,9 @@ HostStack::~HostStack() {
     dataplane_->stop(
         [this](netsim::PacketPtr p) { complete_egress(std::move(p)); });
   }
+  // The scheduler may die with us; later events go back to the tick
+  // clock instead of reading a dead simulator.
+  telemetry::clear_event_clock(&network_.scheduler());
 }
 
 void HostStack::transmit(netsim::PacketPtr packet) {

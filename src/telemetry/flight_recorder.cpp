@@ -32,122 +32,41 @@ const char* flight_event_name(FlightEventType type) {
 }
 
 FlightRecorder& FlightRecorder::instance() {
-  static FlightRecorder recorder;
-  return recorder;
-}
-
-void FlightRecorder::set_clock(ClockFn fn, void* ctx) {
-  clock_ctx_.store(ctx, std::memory_order_relaxed);
-  clock_fn_.store(fn, std::memory_order_relaxed);
-}
-
-std::int64_t FlightRecorder::now_ns() const {
-  const ClockFn fn = clock_fn_.load(std::memory_order_relaxed);
-  if (fn != nullptr) {
-    return fn(clock_ctx_.load(std::memory_order_relaxed));
-  }
-  return static_cast<std::int64_t>(ticks_to_ns(now_ticks()));
-}
-
-FlightRecorder::Lane* FlightRecorder::lane_for_this_thread() {
-  thread_local Lane* lane = nullptr;
-  thread_local bool exhausted = false;
-  if (lane == nullptr && !exhausted) {
-    const std::size_t idx =
-        lane_count_.fetch_add(1, std::memory_order_relaxed);
-    if (idx >= kMaxLanes) {
-      // More writer threads than lanes: shed this thread's events
-      // rather than sharing a ring (which would break the single-writer
-      // invariant the lock-free publish depends on).
-      exhausted = true;
-      return nullptr;
-    }
-    Lane* fresh = new Lane();
-    lanes_[idx].store(fresh, std::memory_order_release);
-    lane = fresh;
-  }
-  return lane;
+  // Never destroyed: the crash handler may walk the lanes at any time.
+  static FlightRecorder* const recorder = new FlightRecorder();
+  return *recorder;
 }
 
 void FlightRecorder::record(FlightEventType type, const char* detail,
                             std::int64_t a, std::int64_t b) {
-  Lane* lane = lane_for_this_thread();
-  if (lane == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  const std::uint64_t n = lane->count.load(std::memory_order_relaxed);
-  FlightEvent& slot = lane->ring[n % kLaneCapacity];
-  slot.t_ns = now_ns();
-  slot.a = a;
-  slot.b = b;
-  slot.type = type;
-  slot.lane = static_cast<std::uint8_t>(
+  FlightEvent e;
+  e.t_ns = now_ns();
+  e.a = a;
+  e.b = b;
+  e.type = type;
+  e.lane = static_cast<std::uint8_t>(
       std::min<std::size_t>(internal::thread_slot(), 255));
   // Copy + sanitize in one pass so the JSON emitters never need to
   // escape: quotes, backslashes and control bytes become '_'.
   std::size_t i = 0;
   if (detail != nullptr) {
-    for (; i + 1 < sizeof slot.detail && detail[i] != '\0'; ++i) {
+    for (; i + 1 < sizeof e.detail && detail[i] != '\0'; ++i) {
       const char c = detail[i];
-      slot.detail[i] =
+      e.detail[i] =
           (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20)
               ? '_'
               : c;
     }
   }
-  slot.detail[i] = '\0';
-  lane->count.store(n + 1, std::memory_order_release);
+  e.detail[i] = '\0';
+  thread_local EventLanes<FlightEvent>::Claim claim;
+  lanes_.push(claim, e);
 }
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
-  std::vector<FlightEvent> out;
-  for (std::size_t l = 0; l < kMaxLanes; ++l) {
-    const Lane* lane = lanes_[l].load(std::memory_order_acquire);
-    if (lane == nullptr) continue;
-    const std::uint64_t n = lane->count.load(std::memory_order_acquire);
-    const std::uint64_t keep = std::min<std::uint64_t>(n, kLaneCapacity);
-    for (std::uint64_t i = n - keep; i < n; ++i) {
-      out.push_back(lane->ring[i % kLaneCapacity]);
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const FlightEvent& x, const FlightEvent& y) {
-                     return x.t_ns < y.t_ns;
-                   });
-  return out;
-}
-
-std::uint64_t FlightRecorder::total_recorded() const {
-  std::uint64_t total = 0;
-  for (std::size_t l = 0; l < kMaxLanes; ++l) {
-    const Lane* lane = lanes_[l].load(std::memory_order_acquire);
-    if (lane != nullptr) {
-      total += lane->count.load(std::memory_order_acquire);
-    }
-  }
-  return total;
-}
-
-std::uint64_t FlightRecorder::overwritten() const {
-  std::uint64_t total = 0;
-  for (std::size_t l = 0; l < kMaxLanes; ++l) {
-    const Lane* lane = lanes_[l].load(std::memory_order_acquire);
-    if (lane == nullptr) continue;
-    const std::uint64_t n = lane->count.load(std::memory_order_acquire);
-    if (n > kLaneCapacity) total += n - kLaneCapacity;
-  }
-  return total;
-}
-
-void FlightRecorder::reset() {
-  for (std::size_t l = 0; l < kMaxLanes; ++l) {
-    Lane* lane = lanes_[l].load(std::memory_order_acquire);
-    if (lane == nullptr) continue;
-    for (auto& slot : lane->ring) slot = FlightEvent{};
-    lane->count.store(0, std::memory_order_release);
-  }
-  dropped_.store(0, std::memory_order_relaxed);
+  return lanes_.snapshot([](const FlightEvent& x, const FlightEvent& y) {
+    return x.t_ns < y.t_ns;
+  });
 }
 
 namespace {
@@ -211,18 +130,12 @@ void FlightRecorder::dump_to_fd(int fd) const {
   // must not. Lanes dump in table order instead of merged time order;
   // every event carries t_ns, so readers (and eden-trace) re-sort.
   bool first = true;
-  for (std::size_t l = 0; l < kMaxLanes; ++l) {
-    const Lane* lane = lanes_[l].load(std::memory_order_acquire);
-    if (lane == nullptr) continue;
-    const std::uint64_t cnt = lane->count.load(std::memory_order_acquire);
-    const std::uint64_t keep = std::min<std::uint64_t>(cnt, kLaneCapacity);
-    for (std::uint64_t i = cnt - keep; i < cnt; ++i) {
-      if (!first) write_all(fd, ",\n", 2);
-      first = false;
-      n = format_event(buf, sizeof buf, lane->ring[i % kLaneCapacity]);
-      write_all(fd, buf, static_cast<std::size_t>(n));
-    }
-  }
+  lanes_.for_each([&](const FlightEvent& e) {
+    if (!first) write_all(fd, ",\n", 2);
+    first = false;
+    const int len = format_event(buf, sizeof buf, e);
+    write_all(fd, buf, static_cast<std::size_t>(len));
+  });
   write_all(fd, "\n]}\n", 4);
 }
 

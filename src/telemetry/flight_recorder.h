@@ -12,20 +12,21 @@
 //  * when the HealthWatchdog crosses into `critical`, and
 //  * from a crash/abort signal handler.
 //
-// The storage discipline is the SpanCollector's: every writer thread
-// owns a bounded single-writer ring and publishes its cursor with a
-// release store. Unlike the span lanes, the lane table here is a fixed
-// array of atomic pointers — no mutex anywhere on the read side — so
-// the crash handler can walk every published event without taking a
-// lock that the crashing thread might already hold. Lanes are never
-// freed; a thread that dies leaves its tail of events readable, which
-// is exactly what a postmortem wants.
+// Storage is the SpanCollector's: per-thread event lanes
+// (event_lanes.h), kLaneCapacity events each. The lane table is a fixed
+// array of atomic pointers with no mutex anywhere, so the crash handler
+// can walk every published event without taking a lock that the
+// crashing thread might already hold. Lanes are never freed; a thread
+// that dies leaves its tail of events readable, which is exactly what a
+// postmortem wants.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "telemetry/event_lanes.h"
+#include "telemetry/metrics.h"
 
 namespace eden::telemetry {
 
@@ -63,7 +64,7 @@ struct FlightEvent {
 
 class FlightRecorder {
  public:
-  using ClockFn = std::int64_t (*)(void* ctx);
+  using ClockFn = EventClockFn;
 
   static FlightRecorder& instance();
 
@@ -76,20 +77,19 @@ class FlightRecorder {
     record(type, detail.c_str(), a, b);
   }
 
-  // Injectable clock, same contract as SpanCollector: sim runs stamp
-  // sim time, everything else the calibrated tick clock.
-  void set_clock(ClockFn fn, void* ctx);
-  std::int64_t now_ns() const;
+  // The process-wide event clock (metrics.h), shared with the
+  // SpanCollector: sim runs stamp sim time, everything else the
+  // calibrated tick clock.
+  void set_clock(ClockFn fn, void* ctx) { set_event_clock(fn, ctx); }
+  std::int64_t now_ns() const { return event_now_ns(); }
 
   // Merged, timestamp-sorted view of every lane (most recent
   // kLaneCapacity events per lane survive wraparound).
   std::vector<FlightEvent> snapshot() const;
-  std::uint64_t total_recorded() const;
-  std::uint64_t overwritten() const;
+  std::uint64_t total_recorded() const { return lanes_.total_recorded(); }
+  std::uint64_t overwritten() const { return lanes_.overwritten(); }
   // Events lost because more than kMaxLanes threads recorded.
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t dropped() const { return lanes_.dropped(); }
 
   // JSON dump: {"schema_version":1,"total":N,...,"events":[...]}.
   std::string dump_json() const;
@@ -109,25 +109,15 @@ class FlightRecorder {
 
   // Clears every lane's events (the lanes themselves persist). Test
   // scaffolding only.
-  void reset();
+  void reset() { lanes_.reset(); }
 
   static constexpr std::size_t kLaneCapacity = 1024;
-  static constexpr std::size_t kMaxLanes = 256;
+  static constexpr std::size_t kMaxLanes = EventLanes<FlightEvent>::kMaxLanes;
 
  private:
-  struct Lane {
-    FlightEvent ring[kLaneCapacity];
-    std::atomic<std::uint64_t> count{0};
-  };
-
   FlightRecorder() = default;
-  Lane* lane_for_this_thread();
 
-  std::atomic<Lane*> lanes_[kMaxLanes] = {};
-  std::atomic<std::size_t> lane_count_{0};
-  std::atomic<std::uint64_t> dropped_{0};
-  std::atomic<ClockFn> clock_fn_{nullptr};
-  std::atomic<void*> clock_ctx_{nullptr};
+  EventLanes<FlightEvent> lanes_{kLaneCapacity};
 };
 
 }  // namespace eden::telemetry

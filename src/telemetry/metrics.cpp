@@ -30,6 +30,31 @@ double ns_per_tick() {
 
 void warm_clock() { (void)ns_per_tick(); }
 
+namespace {
+std::atomic<EventClockFn> g_event_clock_fn{nullptr};
+std::atomic<void*> g_event_clock_ctx{nullptr};
+}  // namespace
+
+void set_event_clock(EventClockFn fn, void* ctx) {
+  g_event_clock_ctx.store(ctx, std::memory_order_relaxed);
+  g_event_clock_fn.store(fn, std::memory_order_relaxed);
+}
+
+void clear_event_clock(void* ctx) {
+  if (g_event_clock_ctx.load(std::memory_order_relaxed) == ctx) {
+    g_event_clock_fn.store(nullptr, std::memory_order_relaxed);
+    g_event_clock_ctx.store(nullptr, std::memory_order_relaxed);
+  }
+}
+
+std::int64_t event_now_ns() {
+  const EventClockFn fn = g_event_clock_fn.load(std::memory_order_relaxed);
+  if (fn != nullptr) {
+    return fn(g_event_clock_ctx.load(std::memory_order_relaxed));
+  }
+  return static_cast<std::int64_t>(ticks_to_ns(now_ticks()));
+}
+
 double HistogramSnapshot::quantile(double q) const {
   return util::log2_bucket_quantile(counts, q);
 }

@@ -69,6 +69,18 @@ inline std::uint64_t ticks_to_ns(std::uint64_t ticks) {
                                     ns_per_tick());
 }
 
+// --- Event clock ---------------------------------------------------------
+
+// The one clock that span hops and flight-recorder events are stamped
+// with. A testbed installs its simulator clock so sim runs stamp sim
+// time; with none installed it is the calibrated tick clock.
+using EventClockFn = std::int64_t (*)(void* ctx);
+void set_event_clock(EventClockFn fn, void* ctx);
+// Uninstalls the clock, but only if `ctx` is still its context, so an
+// owner going away never clears a clock someone else installed since.
+void clear_event_clock(void* ctx);
+std::int64_t event_now_ns();
+
 // Per-thread 1-in-n sampling decision: true on every n-th call from
 // this thread (never for n = 0). A plain thread_local countdown — no
 // atomics and no division — so the not-sampled path costs a decrement

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "telemetry/metrics.h"
-
 namespace eden::telemetry {
 
 const char* hop_name(Hop hop) {
@@ -39,50 +37,10 @@ const char* hop_name(Hop hop) {
   return "unknown";
 }
 
-SpanCollector::SpanCollector() = default;
-
 SpanCollector& SpanCollector::instance() {
-  static SpanCollector collector;
-  return collector;
-}
-
-void SpanCollector::enable(std::uint32_t sample_every,
-                           std::size_t lane_capacity) {
-  {
-    std::lock_guard<std::mutex> lock(lanes_mutex_);
-    if (lane_capacity != 0 && lane_capacity != lane_capacity_) {
-      lane_capacity_ = lane_capacity;
-      for (auto& lane : lanes_) {
-        lane->ring.assign(lane_capacity_, SpanEvent{});
-        lane->count.store(0, std::memory_order_relaxed);
-      }
-    }
-  }
-  sample_every_.store(sample_every, std::memory_order_relaxed);
-}
-
-void SpanCollector::set_clock(ClockFn fn, void* ctx) {
-  clock_ctx_.store(ctx, std::memory_order_relaxed);
-  clock_fn_.store(fn, std::memory_order_relaxed);
-}
-
-std::int64_t SpanCollector::now_ns() const {
-  const ClockFn fn = clock_fn_.load(std::memory_order_relaxed);
-  if (fn != nullptr) {
-    return fn(clock_ctx_.load(std::memory_order_relaxed));
-  }
-  return static_cast<std::int64_t>(ticks_to_ns(now_ticks()));
-}
-
-SpanCollector::Lane& SpanCollector::lane_for_this_thread() {
-  thread_local Lane* lane = nullptr;
-  if (lane == nullptr) {
-    std::lock_guard<std::mutex> lock(lanes_mutex_);
-    lanes_.push_back(std::make_unique<Lane>());
-    lanes_.back()->ring.assign(lane_capacity_, SpanEvent{});
-    lane = lanes_.back().get();
-  }
-  return *lane;
+  // Never destroyed: threads may still record while statics unwind.
+  static SpanCollector* const collector = new SpanCollector();
+  return *collector;
 }
 
 void SpanCollector::record(std::int64_t trace_id, Hop hop,
@@ -90,67 +48,25 @@ void SpanCollector::record(std::int64_t trace_id, Hop hop,
                            std::int64_t aux, std::int64_t span_id,
                            std::int64_t parent_id) {
   if (trace_id == 0) return;
-  Lane& lane = lane_for_this_thread();
-  const std::uint64_t n = lane.count.load(std::memory_order_relaxed);
-  SpanEvent& slot = lane.ring[n % lane.ring.size()];
-  slot.trace_id = trace_id;
-  slot.ts_ns = ts_ns;
-  slot.dur_ns = dur_ns;
-  slot.aux = aux;
-  slot.span_id = span_id;
-  slot.parent_id = parent_id;
-  slot.hop = hop;
-  slot.lane = static_cast<std::uint8_t>(
+  SpanEvent e;
+  e.trace_id = trace_id;
+  e.ts_ns = ts_ns;
+  e.dur_ns = dur_ns;
+  e.aux = aux;
+  e.span_id = span_id;
+  e.parent_id = parent_id;
+  e.hop = hop;
+  e.lane = static_cast<std::uint8_t>(
       std::min<std::size_t>(internal::thread_slot(), 255));
-  lane.count.store(n + 1, std::memory_order_release);
+  thread_local EventLanes<SpanEvent>::Claim claim;
+  lanes_.push(claim, e);
 }
 
 std::vector<SpanEvent> SpanCollector::snapshot() const {
-  std::vector<SpanEvent> out;
-  std::lock_guard<std::mutex> lock(lanes_mutex_);
-  for (const auto& lane : lanes_) {
-    const std::uint64_t n = lane->count.load(std::memory_order_acquire);
-    const std::uint64_t cap = lane->ring.size();
-    const std::uint64_t keep = std::min(n, cap);
-    for (std::uint64_t i = n - keep; i < n; ++i) {
-      out.push_back(lane->ring[i % cap]);
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const SpanEvent& a, const SpanEvent& b) {
-                     if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
-                     return a.trace_id < b.trace_id;
-                   });
-  return out;
-}
-
-std::uint64_t SpanCollector::total_recorded() const {
-  std::uint64_t total = 0;
-  std::lock_guard<std::mutex> lock(lanes_mutex_);
-  for (const auto& lane : lanes_) {
-    total += lane->count.load(std::memory_order_acquire);
-  }
-  return total;
-}
-
-std::uint64_t SpanCollector::overwritten() const {
-  std::uint64_t total = 0;
-  std::lock_guard<std::mutex> lock(lanes_mutex_);
-  for (const auto& lane : lanes_) {
-    const std::uint64_t n = lane->count.load(std::memory_order_acquire);
-    const std::uint64_t cap = lane->ring.size();
-    if (n > cap) total += n - cap;
-  }
-  return total;
-}
-
-void SpanCollector::reset() {
-  std::lock_guard<std::mutex> lock(lanes_mutex_);
-  for (auto& lane : lanes_) {
-    lane->ring.assign(lane_capacity_, SpanEvent{});
-    lane->count.store(0, std::memory_order_relaxed);
-  }
-  next_id_.store(1, std::memory_order_relaxed);
+  return lanes_.snapshot([](const SpanEvent& a, const SpanEvent& b) {
+    if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
+    return a.trace_id < b.trace_id;
+  });
 }
 
 std::string to_trace_event_json(const std::vector<SpanEvent>& events) {

@@ -11,12 +11,12 @@
 // hop; with tracing disabled entirely no branch changes outcome and no
 // shared state is touched.
 //
-// Events land in lock-free per-thread lanes: each writer thread owns a
-// bounded ring (single writer, no CAS, no locks) and publishes its
-// write cursor with a release store. snapshot() merges the lanes into
-// one timestamp-sorted vector; under concurrent writers it is a
-// best-effort read of everything published so far (exact once writers
-// are quiescent, which is how the exporters use it).
+// Events land in per-thread event lanes (event_lanes.h): each writer
+// thread owns a fixed ring of kLaneCapacity events, with no locks.
+// snapshot() merges the lanes into one timestamp-sorted vector; under
+// concurrent writers it is a best-effort read of everything published
+// so far (exact once writers are quiescent, which is how the exporters
+// use it).
 //
 // Export is Chrome/Perfetto `trace_event` JSON (catapult format): each
 // traced message becomes its own track (tid = trace id), queueing waits
@@ -27,10 +27,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
+
+#include "telemetry/event_lanes.h"
+#include "telemetry/metrics.h"
 
 namespace eden::telemetry {
 
@@ -100,16 +101,16 @@ struct SpanEvent {
 // trace buffer. All hot-path methods are safe to call from any thread.
 class SpanCollector {
  public:
-  using ClockFn = std::int64_t (*)(void* ctx);
+  using ClockFn = EventClockFn;
 
   static SpanCollector& instance();
 
   // Turns tracing on at 1-in-`sample_every` message sampling (0 turns
-  // it off). Lanes are (re)sized to `lane_capacity` events only when it
-  // changes, so repeated enable() calls from multiple enclaves are
-  // cheap and idempotent.
-  void enable(std::uint32_t sample_every,
-              std::size_t lane_capacity = kDefaultLaneCapacity);
+  // it off). Idempotent, so every enclave configured for spans can
+  // (re)arm it.
+  void enable(std::uint32_t sample_every) {
+    sample_every_.store(sample_every, std::memory_order_relaxed);
+  }
   void disable() { sample_every_.store(0, std::memory_order_relaxed); }
   bool enabled() const {
     return sample_every_.load(std::memory_order_relaxed) != 0;
@@ -118,10 +119,10 @@ class SpanCollector {
     return sample_every_.load(std::memory_order_relaxed);
   }
 
-  // Timestamps come from this clock; inject the simulator clock so sim
-  // runs emit sim-time spans (defaults to the calibrated tick clock).
-  void set_clock(ClockFn fn, void* ctx);
-  std::int64_t now_ns() const;
+  // Timestamps come from the process-wide event clock (metrics.h),
+  // shared with the flight recorder.
+  void set_clock(ClockFn fn, void* ctx) { set_event_clock(fn, ctx); }
+  std::int64_t now_ns() const { return event_now_ns(); }
 
   // Unconditionally allocates a fresh trace id (never 0, never reused).
   std::int64_t start_trace() {
@@ -170,40 +171,30 @@ class SpanCollector {
   }
 
   // Merged, timestamp-sorted view of every lane (most recent
-  // `lane_capacity` events per lane survive wraparound).
+  // kLaneCapacity events per lane survive wraparound).
   std::vector<SpanEvent> snapshot() const;
-  std::uint64_t total_recorded() const;
+  std::uint64_t total_recorded() const { return lanes_.total_recorded(); }
   // Events overwritten by ring wraparound.
-  std::uint64_t overwritten() const;
+  std::uint64_t overwritten() const { return lanes_.overwritten(); }
 
   // Drops all recorded events and resets the id allocator; keeps the
   // sampling/clock configuration. Test and bench scaffolding only.
-  void reset();
+  void reset() {
+    lanes_.reset();
+    next_id_.store(1, std::memory_order_relaxed);
+  }
 
-  static constexpr std::size_t kDefaultLaneCapacity = 16384;
+  // Events each writer thread's lane holds. A whole traced
+  // control-plane recovery (the fleet soak's killed-agent story) needs
+  // under 256.
+  static constexpr std::size_t kLaneCapacity = 16384;
 
  private:
-  // Single-writer bounded ring. The owning thread writes the slot, then
-  // publishes with a release store of the cursor; readers acquire the
-  // cursor and walk back at most `ring.size()` slots.
-  struct Lane {
-    std::vector<SpanEvent> ring;
-    std::atomic<std::uint64_t> count{0};
-  };
-
-  SpanCollector();
-  Lane& lane_for_this_thread();
+  SpanCollector() = default;
 
   std::atomic<std::uint32_t> sample_every_{0};
   std::atomic<std::int64_t> next_id_{1};
-  std::atomic<ClockFn> clock_fn_{nullptr};
-  std::atomic<void*> clock_ctx_{nullptr};
-
-  // Lane list: stable addresses (unique_ptr), appended under the mutex
-  // on first use per thread, then never moved or freed.
-  mutable std::mutex lanes_mutex_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::size_t lane_capacity_ = kDefaultLaneCapacity;
+  EventLanes<SpanEvent> lanes_{kLaneCapacity};
 };
 
 // Renders events as Chrome `trace_event` JSON ({"traceEvents": [...]}).

@@ -187,7 +187,7 @@ TEST(FleetSoak, KilledAgentMidTxnIsOneTraceWithFlightDump) {
   telemetry::FlightRecorder& flight = telemetry::FlightRecorder::instance();
   spans.set_clock(nullptr, nullptr);
   spans.reset();
-  spans.enable(1, 1 << 15);
+  spans.enable(1);
   flight.reset();
 
   FarmConfig farm_config;

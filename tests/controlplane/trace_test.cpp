@@ -57,7 +57,7 @@ class TraceSessionTest : public ::testing::Test {
   void SetUp() override {
     SpanCollector::instance().set_clock(nullptr, nullptr);
     SpanCollector::instance().reset();
-    SpanCollector::instance().enable(1, 4096);
+    SpanCollector::instance().enable(1);
     FlightRecorder::instance().set_clock(nullptr, nullptr);
     FlightRecorder::instance().reset();
   }

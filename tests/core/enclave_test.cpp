@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "core/controller.h"
@@ -1078,6 +1079,53 @@ TEST(EnclaveTelemetryTest, TraceRingSamplesAndWraps) {
     EXPECT_EQ(entry.class_name, "enclave.flows.web");
     EXPECT_EQ(entry.status, "ok");
     EXPECT_GT(entry.steps, 0u);
+  }
+}
+
+// Writers on several threads record into their own trace lanes while
+// another thread snapshots: every snapshot is whole (bounded by the
+// capacity, each record intact), and once the writers stop the count
+// is exact and the newest `trace_capacity` records survive.
+TEST(EnclaveTelemetryTest, ConcurrentTraceRecordsAndSnapshots) {
+  ClassRegistry registry;
+  Controller controller(registry);
+  EnclaveConfig config = telemetry_config();
+  config.telemetry.trace_capacity = 32;
+  Enclave enclave("tele", registry, config);
+  const ClassId web = registry.intern("enclave.flows.web");
+  install_with_rule_in(controller, enclave, "p3",
+                       "fun(p, m, g) -> p.priority <- 3",
+                       ClassPattern("enclave.flows.*"));
+  constexpr int kThreads = 4;
+  constexpr int kPackets = 2000;
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      netsim::Packet packet = tcp_packet();
+      packet.classes.add(web);
+      packet.meta.tenant = t + 1;
+      for (int i = 0; i < kPackets; ++i) enclave.process(packet);
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  do {
+    const telemetry::EnclaveTelemetry t = enclave.telemetry_snapshot();
+    ASSERT_LE(t.trace.size(), 32u);
+    for (const auto& entry : t.trace) {
+      ASSERT_EQ(entry.action, "p3");
+      ASSERT_EQ(entry.class_name, "enclave.flows.web");
+      ASSERT_GE(entry.meta.tenant, 1);
+      ASSERT_LE(entry.meta.tenant, kThreads);
+    }
+  } while (running.load(std::memory_order_acquire) > 0);
+  for (auto& th : threads) th.join();
+
+  const telemetry::EnclaveTelemetry t = enclave.telemetry_snapshot();
+  EXPECT_EQ(t.trace_sampled, static_cast<std::uint64_t>(kThreads) * kPackets);
+  ASSERT_EQ(t.trace.size(), 32u);
+  for (std::size_t i = 1; i < t.trace.size(); ++i) {
+    EXPECT_LE(t.trace[i - 1].ts_ns, t.trace[i].ts_ns);
   }
 }
 

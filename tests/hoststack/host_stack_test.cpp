@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "apps/memcached_stage.h"
 #include "experiments/testbed.h"
+#include "telemetry/span.h"
 
 namespace eden::hoststack {
 namespace {
@@ -225,6 +229,27 @@ TEST_F(HostStackTest, NicQueueRateLimitsMarkedPackets) {
   EXPECT_FALSE(done);  // rate limited: cannot be finished yet
   bed_.run_for(2 * netsim::kSecond);
   EXPECT_TRUE(done);
+}
+
+// A testbed stamps spans and flight events with its simulator clock.
+// Once the bed is gone, the event clock must fall back to the tick
+// clock: reading the dead scheduler would return a frozen time (or
+// worse), so a clock that advances across a sleep proves the fallback.
+TEST(HostStackClockTest, EventClockOutlivesItsTestbed) {
+  telemetry::SpanCollector& spans = telemetry::SpanCollector::instance();
+  {
+    experiments::Testbed bed;
+    netsim::HostNode& a = bed.add_host("a");
+    netsim::HostNode& b = bed.add_host("b");
+    bed.connect(a, b, 10 * kGbps, 1000);
+    bed.routing().install_dest_routes();
+    bed.finalize();
+    bed.run_for(netsim::kMillisecond);
+    EXPECT_EQ(spans.now_ns(), bed.network().now());
+  }
+  const std::int64_t before = spans.now_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_GT(spans.now_ns(), before);
 }
 
 }  // namespace

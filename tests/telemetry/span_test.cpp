@@ -39,12 +39,11 @@ TEST_F(SpanCollectorTest, StartTraceNeverReturnsZeroOrDuplicates) {
 }
 
 TEST_F(SpanCollectorTest, ConcurrentWritersLoseNothingUntilWraparound) {
-  constexpr std::size_t kCapacity = 512;
   constexpr int kThreads = 4;
   // Fewer events than capacity: every record must survive.
   constexpr int kEvents = 300;
   auto& spans = SpanCollector::instance();
-  spans.enable(1, kCapacity);
+  spans.enable(1);
 
   std::vector<std::vector<std::int64_t>> ids(kThreads);
   std::vector<std::thread> threads;
@@ -87,11 +86,11 @@ TEST_F(SpanCollectorTest, ConcurrentWritersLoseNothingUntilWraparound) {
 }
 
 TEST_F(SpanCollectorTest, WraparoundKeepsMostRecentPerLane) {
-  constexpr std::size_t kCapacity = 256;
+  constexpr std::size_t kCapacity = SpanCollector::kLaneCapacity;
   constexpr int kThreads = 3;
   constexpr int kEvents = static_cast<int>(kCapacity) + 150;
   auto& spans = SpanCollector::instance();
-  spans.enable(1, kCapacity);
+  spans.enable(1);
 
   // Each thread records all its events under one trace id, with the
   // sequence number in aux, so survivors can be checked per writer.
@@ -273,9 +272,10 @@ TEST_F(SpanCollectorTest, ConcurrentTraceAndSpanIdsNeverCollide) {
 // never tears or duplicates surviving ones.
 TEST_F(SpanCollectorTest, ConcurrentLinkedRecordsStayUniqueAcrossWraparound) {
   SpanCollector& c = SpanCollector::instance();
-  c.enable(1, 256);  // small lanes: every thread wraps
+  c.enable(1);
+  constexpr std::size_t kCapacity = SpanCollector::kLaneCapacity;
   constexpr int kThreads = 4;
-  constexpr int kPerThread = 900;  // > 3x lane capacity
+  constexpr int kPerThread = 2 * kCapacity;  // 2 events each: 4x capacity
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&c]() {
@@ -290,7 +290,7 @@ TEST_F(SpanCollectorTest, ConcurrentLinkedRecordsStayUniqueAcrossWraparound) {
   for (auto& th : threads) th.join();
 
   const std::vector<SpanEvent> events = c.snapshot();
-  ASSERT_EQ(events.size(), static_cast<std::size_t>(kThreads) * 256);
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(kThreads) * kCapacity);
   std::set<std::int64_t> span_ids;
   for (const SpanEvent& e : events) {
     EXPECT_NE(e.trace_id, 0);
@@ -301,7 +301,7 @@ TEST_F(SpanCollectorTest, ConcurrentLinkedRecordsStayUniqueAcrossWraparound) {
       EXPECT_NE(e.parent_id, 0);
     }
   }
-  c.enable(0, SpanCollector::kDefaultLaneCapacity);
+  c.enable(0);
 }
 
 }  // namespace

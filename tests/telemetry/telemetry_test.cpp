@@ -1,14 +1,16 @@
 // Telemetry primitives: sharded counters, log2 histograms, the
-// sampling trace ring, the metrics registry's exposition format, and
+// per-thread event lanes, the metrics registry's exposition format, and
 // cross-enclave snapshot aggregation.
+#include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "telemetry/event_lanes.h"
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
-#include "telemetry/trace_ring.h"
 
 namespace eden::telemetry {
 namespace {
@@ -105,44 +107,81 @@ TEST(SamplingTest, ZeroDisables) {
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(sample_1_in(0));
 }
 
-TEST(TraceRingTest, KeepsMostRecentOnWraparound) {
-  TraceRing ring(4, 1);
-  for (int i = 0; i < 10; ++i) {
-    TraceRecord rec;
-    rec.ts_ns = i;
-    ring.push(rec);
-  }
-  EXPECT_EQ(ring.total_recorded(), 10u);
-  const std::vector<TraceRecord> snap = ring.snapshot();
+// A lane event whose two halves check each other, so a torn copy shows.
+struct LaneEvent {
+  std::int64_t ts_ns = 0;
+  std::int64_t id = 0;
+  std::int64_t check = 0;  // ~id when whole
+};
+
+bool by_ts(const LaneEvent& a, const LaneEvent& b) {
+  return a.ts_ns < b.ts_ns;
+}
+
+TEST(EventLanesTest, KeepsMostRecentOnWraparound) {
+  EventLanes<LaneEvent> lanes(4);
+  EventLanes<LaneEvent>::Claim claim;
+  for (int i = 0; i < 10; ++i) lanes.push(claim, LaneEvent{i, i, ~i});
+  EXPECT_EQ(lanes.total_recorded(), 10u);
+  EXPECT_EQ(lanes.overwritten(), 6u);
+  const std::vector<LaneEvent> snap = lanes.snapshot(by_ts);
   ASSERT_EQ(snap.size(), 4u);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(snap[i].ts_ns, 6 + i);  // oldest to newest
   }
 }
 
-TEST(TraceRingTest, ShouldSamplePacesOneInN) {
-  TraceRing ring(8, 3);
-  int hits = 0;
-  for (int i = 0; i < 9; ++i) {
-    if (ring.should_sample()) ++hits;
-  }
-  EXPECT_EQ(hits, 3);
-
-  TraceRing off(8, 0);
-  for (int i = 0; i < 10; ++i) EXPECT_FALSE(off.should_sample());
-}
-
-TEST(TraceRingTest, PartialFillSnapshotsInOrder) {
-  TraceRing ring(8, 1);
-  for (int i = 0; i < 3; ++i) {
-    TraceRecord rec;
-    rec.ts_ns = i;
-    ring.push(rec);
-  }
-  const std::vector<TraceRecord> snap = ring.snapshot();
+TEST(EventLanesTest, PartialFillSnapshotsInOrder) {
+  EventLanes<LaneEvent> lanes(8);
+  EventLanes<LaneEvent>::Claim claim;
+  for (int i = 0; i < 3; ++i) lanes.push(claim, LaneEvent{i, i, ~i});
+  const std::vector<LaneEvent> snap = lanes.snapshot(by_ts);
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].ts_ns, 0);
   EXPECT_EQ(snap[2].ts_ns, 2);
+  lanes.reset();
+  EXPECT_EQ(lanes.total_recorded(), 0u);
+  EXPECT_TRUE(lanes.snapshot(by_ts).empty());
+}
+
+// Four writers wrap their lanes many times while a reader snapshots in
+// a loop: every event a snapshot returns is whole (never torn by the
+// writer lapping it) and appears once.
+TEST(EventLanesTest, ConcurrentWrapAndSnapshotNeverTearsEvents) {
+  // Small lanes and many laps, so readers often race an overwrite.
+  constexpr std::size_t kCapacity = 8;
+  constexpr int kWriters = 4;
+  constexpr std::int64_t kEvents = 20000 * kCapacity;
+  EventLanes<LaneEvent> lanes(kCapacity);
+  std::atomic<int> running{kWriters};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&lanes, &running, t] {
+      EventLanes<LaneEvent>::Claim claim;
+      for (std::int64_t i = 0; i < kEvents; ++i) {
+        const std::int64_t id = (static_cast<std::int64_t>(t) << 32) | i;
+        lanes.push(claim, LaneEvent{i, id, ~id});
+      }
+      running.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::size_t snapshots = 0;
+  do {
+    std::set<std::int64_t> ids;
+    for (const LaneEvent& e : lanes.snapshot(by_ts)) {
+      ASSERT_EQ(e.check, ~e.id) << "torn event";
+      ASSERT_EQ(e.ts_ns, e.id & 0xffffffff) << "torn event";
+      ASSERT_TRUE(ids.insert(e.id).second) << "duplicate id " << e.id;
+    }
+    EXPECT_LE(ids.size(), kWriters * kCapacity);
+    ++snapshots;
+  } while (running.load(std::memory_order_acquire) > 0);
+  for (auto& w : writers) w.join();
+
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_EQ(lanes.total_recorded(), kWriters * kEvents);
+  EXPECT_EQ(lanes.overwritten(), kWriters * (kEvents - kCapacity));
+  EXPECT_EQ(lanes.snapshot(by_ts).size(), kWriters * kCapacity);
 }
 
 TEST(RegistryTest, InstrumentsAreStableAddressed) {
